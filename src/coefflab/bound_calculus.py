@@ -14,7 +14,7 @@ values kept for comparison only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 
@@ -326,17 +326,9 @@ class VerificationReport:
     mismatches: tuple[BoundChain, ...]
 
 
-def verify_stated_values(use_stated: bool = False) -> VerificationReport:
-    """Recompute every chain and split by agreement with the statement.
-
-    With use_stated=True the stated values are substituted for the computed
-    ones (a self-comparison mode); every chain then trivially matches.
-    """
+def verify_stated_values() -> VerificationReport:
+    """Recompute every chain and split by agreement with the statement."""
     chains = [theorem_chain(tid) for tid in THEOREM_IDS]
-    if use_stated:
-        chains = [
-            replace(ch, computed_value=ch.stated_value, match=True) for ch in chains
-        ]
     matches = tuple(ch for ch in chains if ch.match)
     mismatches = tuple(ch for ch in chains if not ch.match)
     return VerificationReport(matches=matches, mismatches=mismatches)

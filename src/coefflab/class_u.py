@@ -54,7 +54,11 @@ class UnknownName(KeyError):
 
 
 class EvaluationFailure(ArithmeticError):
-    """An evaluator returned a non-finite value on the sampling grid."""
+    """An evaluation returned a non-finite value, e.g. at a pole on the sampling grid."""
+
+
+class CrossCheckFailed(ArithmeticError):
+    """Two independent routes to the same number disagree beyond their tolerance."""
 
 
 @dataclass(frozen=True)
@@ -179,8 +183,9 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
     """Window (a1..am) for a parameter point.
 
     For m <= 5 the polynomial map and the series-inversion route are both
-    evaluated and must agree to MAP_AGREEMENT_TOL; the polynomial values are
-    returned.  For larger m only the series route applies.
+    evaluated and must agree to MAP_AGREEMENT_TOL, else CrossCheckFailed is
+    raised; the polynomial values are returned.  For larger m only the series
+    route applies.
     """
     if m < 1:
         raise ValueError(f"window length must be >= 1, got {m}")
@@ -189,9 +194,8 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
     a3, a4, a5 = coefficient_quintet(pt.a2, p.c1, p.c2, p.c3)
     direct = (1.0, pt.a2, a3, a4, a5)[:m]
     for k, (x, y) in enumerate(zip(direct, via_series), start=1):
-        assert abs(x - y) <= MAP_AGREEMENT_TOL, (
-            f"coefficient routes disagree at a{k}: {x} vs {y}"
-        )
+        if not abs(x - y) <= MAP_AGREEMENT_TOL:
+            raise CrossCheckFailed(f"coefficient routes disagree at a{k}: {x} vs {y}")
     if m <= 5:
         return CoefficientWindow(direct)
     return CoefficientWindow(via_series)

@@ -11,21 +11,24 @@
 Every command emits one document with the same top-level shape:
 tool_version, command, inputs, results, flags_of_concern.  JSON is the
 canonical format (complex numbers as [re, im] pairs, keys sorted); csv and
-text are flattened renderings of the same payload.  Identical inputs produce
-byte-identical output.
+text are flattened renderings of the same payload: their columns are the
+result fields, nested keys joined with '_' (reference.id is reference_id) and
+lists joined with ';'.  Identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 argument or parse errors, 3 runtime evaluation
-failures (window too short, non-finite evaluator values).
+Exit codes: 0 success, 2 argument or parse errors (non-finite literals
+included), 3 runtime evaluation failures (window too short, non-finite
+evaluator values or results, a failed numerical cross-check).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
-import dataclasses
 import io
 import json
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +39,10 @@ from .bound_calculus import (
     UnknownTheorem,
     theorem_chain,
     THEOREM_IDS,
-    verify_stated_values,
 )
 from .class_u import (
     CATALOG_NAMES,
+    CrossCheckFailed,
     EvaluationFailure,
     UnknownName,
     catalog,
@@ -83,35 +86,29 @@ ORACLE_COUNT = 1000
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' style literals: 1, -3, 2i, -4i, 1.5-0.25i."""
+    """Parse finite 'a+bi' style literals: 1, -3, 2i, -4i, 1.5-0.25i."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
     try:
-        return complex(s.replace("i", "j").replace("I", "j"))
+        z = complex(s.replace("i", "j").replace("I", "j"))
     except ValueError:
         raise ValueError(
             f"bad complex literal {text!r}; use forms like 1, -3, 2i, 1-4i"
         ) from None
-
-
-def parse_window(text: str) -> CoefficientWindow:
-    values = tuple(parse_complex(part) for part in text.split(","))
-    return CoefficientWindow(values)
-
-
-def _fmt_float(x: float) -> str:
-    return format(x, ".12g")
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite complex literal {text!r}")
+    return z
 
 
 def fmt_complex(z: complex) -> str:
     re, im = z.real, z.imag
     if im == 0.0:
-        return _fmt_float(re)
+        return _fmt(re)
     if re == 0.0:
-        return _fmt_float(im) + "i"
+        return _fmt(im) + "i"
     sign = "+" if im >= 0 else "-"
-    return f"{_fmt_float(re)}{sign}{_fmt_float(abs(im))}i"
+    return f"{_fmt(re)}{sign}{_fmt(abs(im))}i"
 
 
 def jsonable(x):
@@ -126,8 +123,6 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    if dataclasses.is_dataclass(x):
-        return {f.name: jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return str(x)
 
 
@@ -142,14 +137,14 @@ def document(command: str, inputs: dict, results: dict, flags: list[str]) -> dic
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(jsonable(doc), sort_keys=True, indent=2) + "\n"
+    return json.dumps(jsonable(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _cell(x) -> str:
+def _fmt(x) -> str:
     if isinstance(x, complex):
         return fmt_complex(x)
     if isinstance(x, float):
-        return _fmt_float(x)
+        return format(x, ".12g")
     if isinstance(x, bool):
         return "true" if x else "false"
     if x is None:
@@ -157,65 +152,56 @@ def _cell(x) -> str:
     return str(x)
 
 
+#: The csv/text columns of each command: paths into one result row, with "."
+#: stepping into a nested dict.  bounds has a row per chain, the others one.
+_COLUMNS = {
+    "eval": ("function", "determinant", "value", "modulus", "closed_form",
+             "crosscheck_delta"),
+    "bounds": ("theorem_id", "determinant", "function_class", "a2_zero",
+               "computed_value", "stated_value", "match", "delta", "note"),
+    "search": ("objective", "a2_mode", "seed", "restarts", "best_value",
+               "evaluations_used", "reference.id", "reference.value",
+               "witness.name", "witness.value"),
+    "membership": ("function", "radii", "samples", "max_defect", "argmax", "verdict"),
+}
+
+
+def _report_table(r: dict) -> list[list[str]]:
+    rows = []
+    for row in r["sharp_values"]:
+        rows.append(["sharp_values", f"{row['function']} {row['determinant']}",
+                     _fmt(row["modulus"]), f"delta={_fmt(row['crosscheck_delta'])}"])
+    for ch in r["bound_chains"]:
+        rows.append(["bound_chains", ch["theorem_id"], _fmt(ch["computed_value"]),
+                     f"stated={ch['stated_text']} match={_fmt(ch['match'])}"])
+    rows.append(["oracles", "closed_form_vs_determinant",
+                 _fmt(r["closed_form_oracle"]["max_delta"]),
+                 f"windows={r['closed_form_oracle']['windows']}"])
+    rows.append(["oracles", "map_vs_series",
+                 _fmt(r["coefficient_map_oracle"]["max_delta"]),
+                 f"points={r['coefficient_map_oracle']['points']}"])
+    for row in r["campaigns"]:
+        rows.append(["campaigns", row["objective"], _fmt(row["best_value"]),
+                     f"reference={_fmt(row['reference']['value'])} "
+                     f"within={_fmt(row['within_reference'])}"])
+    for row in r["membership"]:
+        rows.append(["membership", row["function"], _fmt(row["max_defect"]),
+                     row["verdict"]])
+    return rows
+
+
 def _csv_table(doc: dict) -> tuple[list[str], list[list[str]]]:
     cmd = doc["command"]
     r = doc["results"]
-    if cmd == "eval":
-        header = ["function", "determinant", "value", "modulus", "closed_form", "crosscheck_delta"]
-        rows = [[
-            _cell(r["function"]), _cell(r["determinant"]), _cell(r["value"]),
-            _cell(r["modulus"]), _cell(r["closed_form"]), _cell(r["crosscheck_delta"]),
-        ]]
-    elif cmd == "bounds":
-        header = ["theorem_id", "determinant", "function_class", "a2_zero",
-                  "computed_value", "stated_value", "match", "delta", "note"]
-        rows = [[
-            _cell(ch["theorem_id"]), _cell(ch["determinant"]), _cell(ch["function_class"]),
-            _cell(ch["a2_zero"]), _cell(ch["computed_value"]), _cell(ch["stated_value"]),
-            _cell(ch["match"]), _cell(ch["delta"]), _cell(ch["note"]),
-        ] for ch in r["chains"]]
-    elif cmd == "search":
-        header = ["objective", "a2_mode", "seed", "restarts", "best_value",
-                  "evaluations_used", "reference_id", "reference_value",
-                  "witness_name", "witness_value"]
-        rows = [[
-            _cell(r["objective"]), _cell(r["a2_mode"]), _cell(r["seed"]),
-            _cell(r["restarts"]), _cell(r["best_value"]), _cell(r["evaluations_used"]),
-            _cell(r["reference"]["id"]), _cell(r["reference"]["value"]),
-            _cell(r["witness"]["name"]), _cell(r["witness"]["value"]),
-        ]]
-    elif cmd == "membership":
-        header = ["function", "radii", "samples", "max_defect", "argmax", "verdict"]
-        rows = [[
-            _cell(r["function"]), ";".join(_fmt_float(v) for v in r["radii"]),
-            _cell(r["samples"]), _cell(r["max_defect"]), _cell(r["argmax"]),
-            _cell(r["verdict"]),
-        ]]
-    elif cmd == "report":
-        header = ["section", "item", "value", "detail"]
-        rows = []
-        for row in r["sharp_values"]:
-            rows.append(["sharp_values", f"{row['function']} {row['determinant']}",
-                         _cell(row["modulus"]), f"delta={_fmt_float(row['crosscheck_delta'])}"])
-        for ch in r["bound_chains"]:
-            rows.append(["bound_chains", ch["theorem_id"], _cell(ch["computed_value"]),
-                         f"stated={ch['stated_text']} match={_cell(ch['match'])}"])
-        rows.append(["oracles", "closed_form_vs_determinant",
-                     _cell(r["closed_form_oracle"]["max_delta"]),
-                     f"windows={r['closed_form_oracle']['windows']}"])
-        rows.append(["oracles", "map_vs_series",
-                     _cell(r["coefficient_map_oracle"]["max_delta"]),
-                     f"points={r['coefficient_map_oracle']['points']}"])
-        for row in r["campaigns"]:
-            rows.append(["campaigns", row["objective"], _cell(row["best_value"]),
-                         f"reference={_fmt_float(row['reference']['value'])} "
-                         f"within={_cell(row['within_reference'])}"])
-        for row in r["membership"]:
-            rows.append(["membership", row["function"], _cell(row["max_defect"]),
-                         row["verdict"]])
-    else:  # pragma: no cover
-        header = ["key", "value"]
-        rows = [[k, _cell(v)] for k, v in sorted(r.items())]
+    if cmd == "report":
+        return ["section", "item", "value", "detail"], _report_table(r)
+    columns = _COLUMNS[cmd]
+    header = [path.replace(".", "_") for path in columns]
+    rows = []
+    for row in r["chains"] if cmd == "bounds" else [r]:
+        values = [reduce(dict.__getitem__, path.split("."), row) for path in columns]
+        rows.append([";".join(map(_fmt, v)) if isinstance(v, list) else _fmt(v)
+                     for v in values])
     return header, rows
 
 
@@ -230,7 +216,7 @@ def render_csv(doc: dict) -> str:
 
 def render_text(doc: dict) -> str:
     lines = [f"coefflab {doc['command']} (v{doc['tool_version']})"]
-    inputs = ", ".join(f"{k}={_cell(v)}" for k, v in doc["inputs"].items())
+    inputs = ", ".join(f"{k}={_fmt(v)}" for k, v in doc["inputs"].items())
     lines.append(f"inputs: {inputs}" if inputs else "inputs: (none)")
     header, rows = _csv_table(doc)
     widths = [max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])
@@ -248,12 +234,7 @@ def render_text(doc: dict) -> str:
 
 
 def emit(doc: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = render_json(doc)
-    elif fmt == "csv":
-        text = render_csv(doc)
-    else:
-        text = render_text(doc)
+    text = {"json": render_json, "csv": render_csv, "text": render_text}[fmt](doc)
     if out:
         Path(out).write_text(text)
     else:
@@ -265,48 +246,40 @@ def emit(doc: dict, fmt: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eval(args) -> dict:
-    det = DeterminantId.parse(args.det)
-    if args.function is not None:
-        label = args.function
-        window = catalog(args.function).window
-    else:
-        label = "coeffs"
-        window = parse_window(args.coeffs)
+def _eval_row(label: str, det: DeterminantId, window: CoefficientWindow) -> dict:
+    """One determinant by direct evaluation, cross-checked by its closed form."""
     value = det_value(window, det)
     try:
         cf = closed_form(window, det)
         delta = abs(cf - value)
     except UnsupportedId:
         cf, delta = None, None
-    results = {
+    row = {
         "function": label,
         "determinant": str(det),
-        "window": list(window.a),
         "value": value,
         "modulus": abs(value),
         "closed_form": cf,
         "crosscheck_delta": delta,
     }
+    if not all(cmath.isfinite(x) for x in (value, row["modulus"], cf, delta) if x is not None):
+        raise EvaluationFailure(f"{det} overflows on this window")
+    return row
+
+
+def cmd_eval(args) -> dict:
+    det = DeterminantId.parse(args.det)
+    if args.function is not None:
+        window = catalog(args.function).window
+    else:
+        window = CoefficientWindow(tuple(parse_complex(c) for c in args.coeffs.split(",")))
+    results = dict(_eval_row(args.function or "coeffs", det, window), window=list(window.a))
     inputs = {"function": args.function, "coeffs": args.coeffs, "det": args.det}
     return document("eval", inputs, results, [])
 
 
 def _chain_payload(ch) -> dict:
-    return {
-        "theorem_id": ch.theorem_id,
-        "function_class": ch.function_class,
-        "a2_zero": ch.a2_zero,
-        "determinant": ch.determinant,
-        "steps": list(ch.steps),
-        "computed_value": ch.computed_value,
-        "stated_value": ch.stated_value,
-        "stated_text": ch.stated_text,
-        "truncated": ch.truncated,
-        "match": ch.match,
-        "delta": ch.delta,
-        "note": ch.note,
-    }
+    return dict(vars(ch), delta=ch.delta)
 
 
 def _chain_flags(chains) -> list[str]:
@@ -314,8 +287,8 @@ def _chain_flags(chains) -> list[str]:
     for ch in chains:
         if not ch["match"]:
             flags.append(
-                f"{ch['theorem_id']}: recomputed {_fmt_float(ch['computed_value'])} "
-                f"vs stated {ch['stated_text']} (delta {_fmt_float(ch['delta'])})"
+                f"{ch['theorem_id']}: recomputed {_fmt(ch['computed_value'])} "
+                f"vs stated {ch['stated_text']} (delta {_fmt(ch['delta'])})"
             )
         if ch["note"]:
             flags.append(f"{ch['theorem_id']}: {ch['note']}")
@@ -323,43 +296,48 @@ def _chain_flags(chains) -> list[str]:
 
 
 def cmd_bounds(args) -> dict:
-    if args.all:
-        report = verify_stated_values(use_stated=args.use_stated)
-        chains = [_chain_payload(ch) for tid in THEOREM_IDS
-                  for ch in (next(c for c in report.matches + report.mismatches
-                                  if c.theorem_id == tid),)]
-    else:
-        ch = theorem_chain(args.theorem)
-        if args.use_stated:
-            ch = dataclasses.replace(ch, computed_value=ch.stated_value, match=True)
-        chains = [_chain_payload(ch)]
+    ids = THEOREM_IDS if args.all else (args.theorem,)
+    chains = [_chain_payload(theorem_chain(tid)) for tid in ids]
     mismatch_ids = [ch["theorem_id"] for ch in chains if not ch["match"]]
     results = {
         "chains": chains,
         "summary": {"total": len(chains), "matches": len(chains) - len(mismatch_ids),
                     "mismatch_ids": mismatch_ids},
     }
-    inputs = {"theorem": args.theorem, "all": args.all, "use_stated": args.use_stated}
+    inputs = {"theorem": args.theorem, "all": args.all}
     return document("bounds", inputs, results, _chain_flags(chains))
 
 
-def _campaign_flags(label: str, best: float, ref_kind: str, ref_id: str,
-                    ref_value: float) -> list[str]:
+def _campaign_row(objective: Objective, config: SearchConfig,
+                  result) -> tuple[dict, list[str]]:
+    """The fields search and report share for one campaign, and its flags."""
+    ref_kind, ref_id, ref_value = objective_reference(objective)
+    wit_name, wit_value = catalog_witness(objective)
+    best = result.best_value
+    row = {
+        "seed": config.seed,
+        "restarts": config.restarts,
+        "refine_budget": config.refine_budget,
+        "best_value": best,
+        "evaluations_used": result.evaluations_used,
+        "reference": {"kind": ref_kind, "id": ref_id, "value": ref_value},
+        "witness": {"name": wit_name, "value": wit_value},
+    }
     flags = []
     if best > ref_value + REFERENCE_SLACK:
         flags.append(
-            f"{label}: campaign best {_fmt_float(best)} exceeds its reference "
-            f"{ref_id} = {_fmt_float(ref_value)}"
+            f"{objective.label}: campaign best {_fmt(best)} exceeds its reference "
+            f"{ref_id} = {_fmt(ref_value)}"
         )
     if ref_kind == "chain":
         ch = theorem_chain(ref_id)
         if not ch.match and best > ch.stated_value + 1e-9:
             flags.append(
-                f"{label}: campaign best {_fmt_float(best)} exceeds the published "
-                f"statement {ch.stated_text} = {_fmt_float(ch.stated_value)} "
-                f"(recomputed chain allows {_fmt_float(ch.computed_value)})"
+                f"{objective.label}: campaign best {_fmt(best)} exceeds the published "
+                f"statement {ch.stated_text} = {_fmt(ch.stated_value)} "
+                f"(recomputed chain allows {_fmt(ch.computed_value)})"
             )
-    return flags
+    return row, flags
 
 
 def cmd_search(args) -> dict:
@@ -369,45 +347,37 @@ def cmd_search(args) -> dict:
                           refine_budget=args.budget, step_init=args.step_init,
                           step_min=args.step_min)
     result = campaign(objective, config)
-    ref_kind, ref_id, ref_value = objective_reference(objective)
-    wit_name, wit_value = catalog_witness(objective)
+    row, flags = _campaign_row(objective, config, result)
     p = result.best_point
-    results = {
-        "objective": str(objective.det),
-        "a2_mode": objective.a2_mode,
-        "seed": args.seed,
-        "restarts": args.starts,
-        "refine_budget": args.budget,
-        "best_value": result.best_value,
-        "best_point": {"a2": p.a2, "c1": p.schwarz.c1, "c2": p.schwarz.c2,
-                       "c3": p.schwarz.c3},
-        "best_window": list(result.best_window),
-        "evaluations_used": result.evaluations_used,
-        "per_restart": [list(item) for item in result.per_restart],
-        "reference": {"kind": ref_kind, "id": ref_id, "value": ref_value},
-        "witness": {"name": wit_name, "value": wit_value},
-    }
+    results = dict(
+        row,
+        objective=str(objective.det),
+        a2_mode=objective.a2_mode,
+        best_point={"a2": p.a2, "c1": p.schwarz.c1, "c2": p.schwarz.c2, "c3": p.schwarz.c3},
+        best_window=list(result.best_window),
+        per_restart=[list(item) for item in result.per_restart],
+    )
     inputs = {"objective": args.objective, "a2zero": args.a2zero, "seed": args.seed,
               "starts": args.starts, "budget": args.budget,
               "step_init": args.step_init, "step_min": args.step_min}
-    flags = _campaign_flags(objective.label, result.best_value, ref_kind, ref_id,
-                            ref_value)
     return document("search", inputs, results, flags)
 
 
-def cmd_membership(args) -> dict:
-    evaluator = named_evaluator(args.function)
-    radii = tuple(args.radius) if args.radius else DEFAULT_RADII
-    report = membership_max_defect(evaluator, radii, args.samples)
-    verdict = "evidence-member" if report.max_defect < 1.0 else "non-member-witness"
-    results = {
-        "function": args.function,
+def _membership_row(name: str, radii: tuple[float, ...], samples: int) -> dict:
+    rep = membership_max_defect(named_evaluator(name), radii, samples)
+    return {
+        "function": name,
         "radii": list(radii),
-        "samples": args.samples,
-        "max_defect": report.max_defect,
-        "argmax": report.argmax,
-        "verdict": verdict,
+        "max_defect": rep.max_defect,
+        "argmax": rep.argmax,
+        "verdict": "evidence-member" if rep.max_defect < 1.0 else "non-member-witness",
     }
+
+
+def cmd_membership(args) -> dict:
+    radii = tuple(args.radius) if args.radius else DEFAULT_RADII
+    results = dict(_membership_row(args.function, radii, args.samples),
+                   samples=args.samples)
     inputs = {"function": args.function, "radius": list(radii), "samples": args.samples}
     return document("membership", inputs, results, [])
 
@@ -418,23 +388,6 @@ _SHARP_ROWS = (
     ("f1", "T2,2"), ("f1", "T2,3"), ("f1", "T3,1"), ("f1", "T3,2"), ("f1", "T3,3"),
     ("f2", "T2,2"), ("f2", "T2,3"), ("f3", "T3,1"), ("f4", "T3,2"),
 )
-
-
-def _report_sharp_values() -> list[dict]:
-    rows = []
-    for name, det_text in _SHARP_ROWS:
-        det = DeterminantId.parse(det_text)
-        window = catalog(name).window
-        value = closed_form(window, det)
-        delta = abs(value - det_value(window, det))
-        rows.append({
-            "function": name,
-            "determinant": det_text,
-            "value": value,
-            "modulus": abs(value),
-            "crosscheck_delta": delta,
-        })
-    return rows
 
 
 def _report_closed_form_oracle() -> dict:
@@ -468,68 +421,33 @@ def _report_map_oracle() -> dict:
     return {"points": ORACLE_COUNT, "seed": ORACLE_MAP_SEED, "max_delta": worst}
 
 
-def _report_campaigns(starts: int, budget: int) -> tuple[list[dict], list[str]]:
-    rows = []
-    flags = []
+def cmd_report(args) -> dict:
+    sharp = [_eval_row(name, DeterminantId.parse(det), catalog(name).window)
+             for name, det in _SHARP_ROWS]
+    for row in sharp:
+        del row["closed_form"]  # the report shows the closed form only by its delta
+    chains = [_chain_payload(theorem_chain(tid)) for tid in THEOREM_IDS]
+    flags = _chain_flags(chains)
+    campaigns = []
     for label, seed in DOCUMENTED_SEEDS.items():
         det_text, mode = label.split("|")
         objective = Objective(DeterminantId.parse(det_text), mode)
-        config = SearchConfig(seed=seed, restarts=starts, refine_budget=budget)
-        result = campaign(objective, config)
-        ref_kind, ref_id, ref_value = objective_reference(objective)
-        wit_name, wit_value = catalog_witness(objective)
-        within = result.best_value <= ref_value + REFERENCE_SLACK
-        rows.append({
-            "objective": label,
-            "seed": seed,
-            "restarts": starts,
-            "refine_budget": budget,
-            "best_value": result.best_value,
-            "evaluations_used": result.evaluations_used,
-            "reference": {"kind": ref_kind, "id": ref_id, "value": ref_value},
-            "witness": {"name": wit_name, "value": wit_value},
-            "within_reference": within,
-        })
-        flags.extend(_campaign_flags(label, result.best_value, ref_kind, ref_id,
-                                     ref_value))
-    return rows, flags
-
-
-def _report_membership() -> list[dict]:
-    rows = []
-    for name in CATALOG_NAMES:
-        rep = membership_max_defect(catalog(name).evaluator, DEFAULT_RADII,
-                                    DEFAULT_SAMPLES)
-        rows.append({
-            "function": name,
-            "radii": list(DEFAULT_RADII),
-            "max_defect": rep.max_defect,
-            "argmax": rep.argmax,
-            "verdict": "evidence-member" if rep.max_defect < 1.0 else "non-member-witness",
-        })
-    rep = membership_max_defect(named_evaluator("z+2z3"), (0.7,), DEFAULT_SAMPLES)
-    rows.append({
-        "function": "z+2z3",
-        "radii": [0.7],
-        "max_defect": rep.max_defect,
-        "argmax": rep.argmax,
-        "verdict": "evidence-member" if rep.max_defect < 1.0 else "non-member-witness",
-    })
-    return rows
-
-
-def cmd_report(args) -> dict:
-    chains = [_chain_payload(theorem_chain(tid)) for tid in THEOREM_IDS]
-    campaign_rows, campaign_flags = _report_campaigns(args.starts, args.budget)
+        config = SearchConfig(seed=seed, restarts=args.starts, refine_budget=args.budget)
+        row, row_flags = _campaign_row(objective, config, campaign(objective, config))
+        within = row["best_value"] <= row["reference"]["value"] + REFERENCE_SLACK
+        campaigns.append(dict(row, objective=label, within_reference=within))
+        flags.extend(row_flags)
+    membership = [_membership_row(name, DEFAULT_RADII, DEFAULT_SAMPLES)
+                  for name in CATALOG_NAMES]
+    membership.append(_membership_row("z+2z3", (0.7,), DEFAULT_SAMPLES))
     results = {
-        "sharp_values": _report_sharp_values(),
+        "sharp_values": sharp,
         "bound_chains": chains,
         "closed_form_oracle": _report_closed_form_oracle(),
         "coefficient_map_oracle": _report_map_oracle(),
-        "campaigns": campaign_rows,
-        "membership": _report_membership(),
+        "campaigns": campaigns,
+        "membership": membership,
     }
-    flags = _chain_flags(chains) + campaign_flags
     inputs = {"all": True, "starts": args.starts, "budget": args.budget,
               "campaign_seeds": dict(DOCUMENTED_SEEDS),
               "oracle_seeds": {"windows": ORACLE_WINDOW_SEED, "map": ORACLE_MAP_SEED}}
@@ -566,8 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--theorem", help=f"one of {THEOREM_IDS}")
-    p.add_argument("--use-stated", action="store_true", dest="use_stated",
-                   help="substitute stated values for computed ones (self-comparison)")
     p.set_defaults(handler=cmd_bounds)
 
     p = sub.add_parser("search", parents=[common],
@@ -607,15 +523,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        doc = args.handler(args)
-    except (WindowTooShort, EvaluationFailure) as exc:
+        # emit renders the whole document before it writes any of it
+        emit(args.handler(args), args.format, args.out)
+    except (WindowTooShort, EvaluationFailure, CrossCheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UnknownName, UnsupportedId, UnknownTheorem, UnknownConstant,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(doc, args.format, args.out)
     return 0
 
 

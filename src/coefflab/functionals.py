@@ -143,18 +143,6 @@ def _entries(w: CoefficientWindow, det: DeterminantId) -> list[list[complex]]:
     return [[w.coeff(det.n + i + j) for j in range(det.q)] for i in range(det.q)]
 
 
-def toeplitz_matrix(w: CoefficientWindow, q: int, n: int) -> np.ndarray:
-    det = DeterminantId("T", q, n)
-    _require_window(w, det.min_window, str(det))
-    return np.array(_entries(w, det), dtype=complex)
-
-
-def hankel_matrix(w: CoefficientWindow, q: int, n: int) -> np.ndarray:
-    det = DeterminantId("H", q, n)
-    _require_window(w, det.min_window, str(det))
-    return np.array(_entries(w, det), dtype=complex)
-
-
 def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     """Determinant by direct evaluation.
 
@@ -165,14 +153,6 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     if det.q <= 3:
         return _det_cofactor(_entries(w, det), det.q)
     return complex(np.linalg.det(np.array(_entries(w, det), dtype=complex)))
-
-
-def toeplitz_det(w: CoefficientWindow, q: int, n: int) -> complex:
-    return det_value(w, DeterminantId("T", q, n))
-
-
-def hankel_det(w: CoefficientWindow, q: int, n: int) -> complex:
-    return det_value(w, DeterminantId("H", q, n))
 
 
 def closed_form_function(det: DeterminantId) -> Callable[..., complex]:

@@ -28,6 +28,7 @@ from .bound_calculus import constant, theorem_chain
 from .class_u import (
     A2_RADIUS,
     FEASIBILITY_TOL,
+    CrossCheckFailed,
     SchwarzParams,
     UParamPoint,
     c2_limit_abs,
@@ -320,7 +321,8 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     sharp attainments such as the |T(2,2)| = 13 point are always in the pool;
     the cfg.restarts sampled chains follow at indices 0..restarts-1.  Ties
     keep the lowest index.  The winner is re-evaluated through the public
-    window route as a final consistency check against the fast path.
+    window route as a final consistency check against the fast path; a
+    disagreement raises CrossCheckFailed.
     """
     cap = evaluation_cap()
     if config.restarts * config.refine_budget > cap:
@@ -356,9 +358,8 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     assert best_pt is not None
     window = u_coefficients(best_pt, 5)
     official = abs(closed_form(window, objective.det))
-    assert abs(official - best_val) <= 1e-12, (
-        f"fast path and window route disagree: {best_val} vs {official}"
-    )
+    if not abs(official - best_val) <= 1e-12:
+        raise CrossCheckFailed(f"fast path and window route disagree: {best_val} vs {official}")
     return SearchResult(
         best_value=best_val,
         best_point=best_pt,

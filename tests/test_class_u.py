@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import coefflab.class_u as class_u
 from coefflab.class_u import (
     CATALOG_NAMES,
+    CrossCheckFailed,
     EvaluationFailure,
     SchwarzParams,
     UnknownName,
@@ -120,6 +122,17 @@ class TestCoefficientMap:
     def test_a2_radius_enforced(self):
         with pytest.raises(ValueError):
             UParamPoint(2.5, SchwarzParams(0, 0, 0))
+
+    def test_route_disagreement_raises(self, monkeypatch):
+        real = class_u._series_coefficients
+
+        def drifted(pt, m):
+            a = real(pt, m)
+            return a[:2] + (a[2] + 1e-6,) + a[3:]
+
+        monkeypatch.setattr(class_u, "_series_coefficients", drifted)
+        with pytest.raises(CrossCheckFailed, match="a3"):
+            u_coefficients(F1_POINT, 5)
 
 
 def test_map_and_series_agree_on_sampled_points():

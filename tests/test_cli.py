@@ -34,7 +34,7 @@ class TestParseComplex:
     def test_accepts(self, text, expected):
         assert parse_complex(text) == expected
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1+", "i+i+i", "2x"])
+    @pytest.mark.parametrize("bad", ["", "abc", "1+", "i+i+i", "2x", "nan", "nani", "1e400"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_complex(bad)
@@ -82,6 +82,15 @@ class TestEval:
     def test_exit_3_on_short_window(self, capsys):
         assert run(capsys, "eval", "--coeffs", "1,2i,-3", "--det", "T3,3")[0] == 3
 
+    def test_exit_3_on_overflow_in_every_format(self, capsys, tmp_path):
+        # a2^2 overflows to inf; no format may print it or leave a file behind
+        for fmt in ("json", "csv", "text"):
+            target = tmp_path / f"doc.{fmt}"
+            argv = ("eval", "--coeffs", "1,1e308,3,0,0", "--det", "T2,2", "--format", fmt)
+            assert run(capsys, *argv) == (3, "", "error: T2,2 overflows on this window\n")
+            assert run(capsys, *argv, "--out", str(target))[0] == 3
+            assert not target.exists()
+
     def test_exit_2_on_missing_required(self, capsys):
         assert run(capsys, "eval", "--det", "T2,2")[0] == 2
 
@@ -101,12 +110,6 @@ class TestBounds:
         (chain,) = json.loads(out)["results"]["chains"]
         assert chain["computed_value"] == pytest.approx(86.1684)
         assert chain["match"] is True
-
-    def test_use_stated(self, capsys):
-        code, out, _ = run(capsys, "bounds", "--all", "--use-stated")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["results"]["summary"]["mismatch_ids"] == []
 
     def test_exit_2_on_unknown_theorem(self, capsys):
         assert run(capsys, "bounds", "--theorem", "thm7_x")[0] == 2
@@ -280,6 +283,26 @@ class TestPlumbing:
         assert out.startswith("coefflab eval")
         assert out.endswith("\n")
         assert "flags of concern: none" in out
+
+    @pytest.mark.parametrize("argv,json_rows", [
+        pytest.param(("eval", "--function", "f1", "--det", "T3,3"), lambda r: 1, id="eval"),
+        pytest.param(("bounds", "--all"), lambda r: len(r["chains"]), id="bounds"),
+        pytest.param(("search", "--objective", "T2,2", "--starts", "1", "--budget", "0"),
+                     lambda r: 1, id="search"),
+        pytest.param(("membership", "--function", "f1", "--radius", "0.5"), lambda r: 1,
+                     id="membership"),
+        pytest.param(("report", "--starts", "1", "--budget", "0"),
+                     lambda r: sum(len(r[k]) for k in ("sharp_values", "bound_chains",
+                                                       "campaigns", "membership")) + 2,
+                     id="report"),  # + 2: the two oracle rows
+    ])
+    def test_format_contract(self, capsys, argv, json_rows):
+        # csv and text render the same table; csv has one row per JSON result row
+        docs = {fmt: run(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "csv", "text")}
+        rows = list(csv.reader(io.StringIO(docs["csv"])))
+        text_header = docs["text"].splitlines()[2].split()
+        assert text_header == rows[0]
+        assert len(rows) - 1 == json_rows(json.loads(docs["json"])["results"])
 
     def test_no_arguments_is_exit_2(self, capsys):
         assert main([]) == 2

@@ -16,10 +16,6 @@ from coefflab.functionals import (
     closed_form,
     closed_form_function,
     det_value,
-    hankel_det,
-    hankel_matrix,
-    toeplitz_det,
-    toeplitz_matrix,
 )
 
 F1 = CoefficientWindow((1, 2j, -3, -4j, 5))
@@ -60,73 +56,55 @@ class TestToeplitzHandValues:
     def test_f1_q3_n1(self):
         # [[1,2i,-3],[2i,1,2i],[-3,2i,1]] expanded by cofactors:
         # 1*(1+4) - 2i*(2i+6i) - 3*(-4+3) = 5 + 16 + 3 = 24
-        assert toeplitz_det(F1, 3, 1) == pytest.approx(24)
+        assert det_value(F1, DeterminantId("T", 3, 1)) == pytest.approx(24)
 
     def test_q1_is_the_entry(self):
-        assert toeplitz_det(F1, 1, 1) == 1
-        assert toeplitz_det(KOEBE, 1, 3) == 3
+        assert det_value(F1, DeterminantId("T", 1, 1)) == 1
+        assert det_value(KOEBE, DeterminantId("T", 1, 3)) == 3
 
     def test_f1_q3_n3(self):
-        assert toeplitz_det(F1, 3, 3) == pytest.approx(-208)
+        assert det_value(F1, DeterminantId("T", 3, 3)) == pytest.approx(-208)
 
     def test_f1_q2_values(self):
-        assert toeplitz_det(F1, 2, 2) == pytest.approx(-13)  # -4 - 9
-        assert toeplitz_det(F1, 2, 3) == pytest.approx(25)   # 9 + 16
+        assert det_value(F1, DeterminantId("T", 2, 2)) == pytest.approx(-13)  # -4 - 9
+        assert det_value(F1, DeterminantId("T", 2, 3)) == pytest.approx(25)   # 9 + 16
 
     def test_f1_q3_n2(self):
         # (a2-a4)(a2^2 - 2 a3^2 + a2 a4) = 6i * (-14) = -84i
-        assert toeplitz_det(F1, 3, 2) == pytest.approx(-84j)
+        assert det_value(F1, DeterminantId("T", 3, 2)) == pytest.approx(-84j)
 
     def test_koebe_q4_n1_lu_path(self):
         # rational cofactor expansion of [[1,2,3,4],[2,1,2,3],[3,2,1,2],[4,3,2,1]]
-        assert toeplitz_det(KOEBE, 4, 1) == pytest.approx(-20)
+        assert det_value(KOEBE, DeterminantId("T", 4, 1)) == pytest.approx(-20)
 
 
 class TestHankelHandValues:
     def test_f1_q2_n2(self):
-        assert hankel_det(F1, 2, 2) == pytest.approx(-1)  # (2i)(-4i) - 9
+        assert det_value(F1, DeterminantId("H", 2, 2)) == pytest.approx(-1)  # (2i)(-4i) - 9
 
     def test_identity_q2_n2(self):
-        assert hankel_det(IDENTITY, 2, 2) == 0
+        assert det_value(IDENTITY, DeterminantId("H", 2, 2)) == 0
 
     def test_koebe_q2_n2(self):
-        assert hankel_det(KOEBE, 2, 2) == pytest.approx(-1)  # 8 - 9
+        assert det_value(KOEBE, DeterminantId("H", 2, 2)) == pytest.approx(-1)  # 8 - 9
 
     def test_f1_q2_n3(self):
-        assert hankel_det(F1, 2, 3) == pytest.approx(1)  # -15 + 16
+        assert det_value(F1, DeterminantId("H", 2, 3)) == pytest.approx(1)  # -15 + 16
 
     def test_koebe_q4_n2_is_singular(self):
         # Hankel matrix of the linear sequence a_k = k has rank 2
         long_koebe = CoefficientWindow(tuple(range(1, 9)))
-        assert hankel_det(long_koebe, 4, 2) == pytest.approx(0, abs=1e-9)
-
-
-class TestMatrices:
-    def test_toeplitz_is_symmetric(self):
-        m = toeplitz_matrix(F1, 3, 2)
-        assert np.array_equal(m, m.T)
-
-    def test_hankel_is_symmetric(self):
-        m = hankel_matrix(KOEBE, 3, 1)
-        assert np.array_equal(m, m.T)
-
-    def test_toeplitz_layout(self):
-        m = toeplitz_matrix(KOEBE, 3, 1)
-        assert m.tolist() == [[1, 2, 3], [2, 1, 2], [3, 2, 1]]
-
-    def test_hankel_layout(self):
-        m = hankel_matrix(KOEBE, 2, 2)
-        assert m.tolist() == [[2, 3], [3, 4]]
+        assert det_value(long_koebe, DeterminantId("H", 4, 2)) == pytest.approx(0, abs=1e-9)
 
 
 class TestErrors:
     def test_window_too_short_toeplitz(self):
         with pytest.raises(WindowTooShort):
-            toeplitz_det(CoefficientWindow((1, 2j, -3)), 3, 3)
+            det_value(CoefficientWindow((1, 2j, -3)), DeterminantId("T", 3, 3))
 
     def test_window_too_short_hankel(self):
         with pytest.raises(WindowTooShort):
-            hankel_det(CoefficientWindow((1, 0, 0, 0)), 2, 3)
+            det_value(CoefficientWindow((1, 0, 0, 0)), DeterminantId("H", 2, 3))
 
     def test_closed_form_unsupported(self):
         with pytest.raises(UnsupportedId):
@@ -182,5 +160,14 @@ def test_scaled_window_recomputation():
 
 
 def test_det_value_dispatches_both_kinds():
-    assert det_value(F1, DeterminantId("T", 2, 3)) == toeplitz_det(F1, 2, 3)
-    assert det_value(F1, DeterminantId("H", 2, 2)) == hankel_det(F1, 2, 2)
+    # Matrices built here from the module docstring's definitions, 1-based:
+    # T entry (i, j) = a_{n+|i-j|}, H entry (i, j) = a_{n+i+j-2}.
+    rng = np.random.default_rng(11)
+    w = CoefficientWindow((1.0, *(complex(*rng.normal(size=2)) for _ in range(7))))
+    a = (None,) + w.a
+    for q in range(1, 5):
+        for n in range(1, 3):
+            t = [[a[n + abs(i - j)] for j in range(1, q + 1)] for i in range(1, q + 1)]
+            h = [[a[n + i + j - 2] for j in range(1, q + 1)] for i in range(1, q + 1)]
+            assert det_value(w, DeterminantId("T", q, n)) == pytest.approx(np.linalg.det(t))
+            assert det_value(w, DeterminantId("H", q, n)) == pytest.approx(np.linalg.det(h))

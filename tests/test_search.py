@@ -1,9 +1,16 @@
 """Sampler, refiner, and campaign determinism on small configurations."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from coefflab.class_u import SchwarzParams, UParamPoint, schwarz_feasible
+import coefflab.search as search
+from coefflab.class_u import CrossCheckFailed, SchwarzParams, UParamPoint, schwarz_feasible
 from coefflab.functionals import DeterminantId, UnsupportedId
 from coefflab.search import (
     DEFAULT_EVAL_CAP,
@@ -181,6 +188,35 @@ class TestCampaign:
             campaign(T22, SearchConfig(seed=1, restarts=2, refine_budget=1000))
         monkeypatch.delenv(EVAL_CAP_ENV)
         assert evaluation_cap() == DEFAULT_EVAL_CAP
+
+    def test_winner_recheck_raises(self, monkeypatch):
+        real = search.closed_form
+        monkeypatch.setattr(search, "closed_form", lambda w, det: real(w, det) + 1.0)
+        with pytest.raises(CrossCheckFailed, match="disagree"):
+            campaign(T22, SearchConfig(seed=1, restarts=1, refine_budget=0))
+
+    def test_winner_recheck_survives_python_O(self):
+        # python -O strips assert statements; the re-check must still raise
+        script = textwrap.dedent("""
+            import coefflab.search as search
+            from coefflab import CrossCheckFailed, DeterminantId, Objective, SearchConfig
+            if __debug__:
+                raise SystemExit("not running under -O")
+            real = search.closed_form
+            search.closed_form = lambda w, det: real(w, det) + 1.0
+            try:
+                search.campaign(Objective(DeterminantId.parse("T2,2")),
+                                SearchConfig(seed=1, restarts=1, refine_budget=0))
+            except CrossCheckFailed:
+                raise SystemExit(0)
+            raise SystemExit("campaign returned despite the disagreement")
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_documented_seed_labels_parse(self):
         for label in DOCUMENTED_SEEDS:
