@@ -103,13 +103,14 @@ class FeasibilityCheck:
 
 def c2_limit_abs(c1_abs: float) -> float:
     """Radius available to c2 once |c1| is fixed (clamped at zero)."""
-    return max(0.0, 0.5 * (1.0 - c1_abs * c1_abs))
+    raw = 0.5 * (1.0 - c1_abs * c1_abs)
+    return raw if raw > 0.0 else 0.0
 
 
 def c3_limit_abs(c1_abs: float, c2_abs: float) -> float:
     """Radius available to c3 once |c1| and |c2| are fixed (clamped at zero)."""
     raw = (1.0 - c1_abs * c1_abs - 4.0 * c2_abs * c2_abs / (1.0 + c1_abs)) / 3.0
-    return max(0.0, raw)
+    return raw if raw > 0.0 else 0.0
 
 
 def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
@@ -127,28 +128,46 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     return FeasibilityCheck(all(m >= -FEASIBILITY_TOL for m in margins), margins)
 
 
-def _scale_to(c: complex, radius: float) -> complex:
-    # same slack as schwarz_feasible, so projection output is a fixed point
-    # even when rescaling lands an ulp above the bound
-    mag = abs(c)
-    if mag <= radius + FEASIBILITY_TOL:
-        return c
-    if radius == 0.0:
-        return 0j
-    return c * (radius / mag)
+def project_coefficients(
+    c1: complex, c2: complex, c3: complex
+) -> tuple[complex, complex, complex]:
+    """Radially shrink (c1, c2, c3), in that order, onto the region.
+
+    The package's one projection, behind project_feasible and the search's
+    repair.  An entry whose modulus math.hypot(re, im) strictly exceeds its
+    bound is rescaled onto the bound, phase kept, and the bound then stands
+    in for its modulus in the later bounds, so once c1 reaches the unit
+    circle the tail is exactly zero at every phase.  No slack: a rescaled
+    entry may land an ulp above its bound, inside FEASIBILITY_TOL.
+    """
+    m1 = math.hypot(c1.real, c1.imag)
+    if m1 > 1.0:
+        s = 1.0 / m1
+        c1 = complex(c1.real * s, c1.imag * s)
+        m1 = 1.0
+    b2 = c2_limit_abs(m1)
+    m2 = math.hypot(c2.real, c2.imag)
+    if m2 > b2:
+        s = b2 / m2
+        c2 = complex(c2.real * s, c2.imag * s)
+        m2 = b2
+    b3 = c3_limit_abs(m1, m2)
+    m3 = math.hypot(c3.real, c3.imag)
+    if m3 > b3:
+        s = b3 / m3
+        c3 = complex(c3.real * s, c3.imag * s)
+    return c1, c2, c3
 
 
 def project_feasible(p: SchwarzParams) -> SchwarzParams:
-    """Radially shrink (c1, c2, c3), in that order, onto the region.
+    """Feasible input unchanged, anything else through project_coefficients.
 
-    Phases are preserved; each later bound is computed from the already
-    repaired earlier entries, so the output always passes schwarz_feasible.
-    Feasible input comes back unchanged.
+    The early return on schwarz_feasible makes the map idempotent even where
+    a strict shrink lands an ulp above a bound.
     """
-    c1 = _scale_to(p.c1, 1.0)
-    c2 = _scale_to(p.c2, c2_limit_abs(abs(c1)))
-    c3 = _scale_to(p.c3, c3_limit_abs(abs(c1), abs(c2)))
-    return SchwarzParams(c1, c2, c3)
+    if schwarz_feasible(p).feasible:
+        return p
+    return SchwarzParams(*project_coefficients(p.c1, p.c2, p.c3))
 
 
 def coefficient_quintet(

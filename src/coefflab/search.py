@@ -9,6 +9,12 @@ admits windows no class member can produce (for example a2 = 2, c1 = 1 gives
 values.  Everything found here is still relaxation evidence, not a
 membership proof.
 
+A search point is the list [a2, c1, c2, c3] of complex parameters.  Each
+proposal moves one real or imaginary part, is pulled back by the |a2| clamp
+and class_u.project_coefficients (the package's one projection), and is
+scored only if _capped_quintet (the one cap check, shared with the sampler
+and the start check) accepts it.
+
 Determinism contract: restart k draws from an RNG stream derived only from
 (seed, k), acceptance inside a restart is sequential and tie-free, and the
 cross-restart reduction (max value, then lowest restart index) is order
@@ -19,12 +25,11 @@ scheduled.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_calculus import constant, theorem_chain
+from .bound_calculus import THEOREM_IDS, constant, theorem_chain
 from .class_u import (
     A2_RADIUS,
     FEASIBILITY_TOL,
@@ -36,16 +41,17 @@ from .class_u import (
     catalog,
     CATALOG_NAMES,
     coefficient_quintet,
+    project_coefficients,
     schwarz_feasible,
     u_coefficients,
 )
 from .functionals import DeterminantId, closed_form, closed_form_function
 
-#: Hard default on restarts * refine_budget per campaign.
-DEFAULT_EVAL_CAP = 10_000_000
+#: Hard cap on restarts * refine_budget per campaign.
+EVAL_CAP = 10_000_000
 
-#: Environment variable overriding the evaluation cap.
-EVAL_CAP_ENV = "COEFFLAB_EVAL_CAP"
+#: Class coefficient caps on |a3|, |a4|, |a5| from the ledger, with the feasibility slack.
+_CAP3, _CAP4, _CAP5 = (constant(f"U.a{k}max").value + FEASIBILITY_TOL for k in (3, 4, 5))
 
 A2_MODES = ("free", "zero")
 
@@ -109,26 +115,14 @@ class SearchResult:
     evaluations_used: int
 
 
-def evaluation_cap() -> int:
-    """Active cap on restarts * refine_budget (env override wins)."""
-    raw = os.environ.get(EVAL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_EVAL_CAP
-    return int(raw)
-
-
-def _caps() -> tuple[float, float, float]:
-    return (
-        constant("U.a3max").value + FEASIBILITY_TOL,
-        constant("U.a4max").value + FEASIBILITY_TOL,
-        constant("U.a5max").value + FEASIBILITY_TOL,
-    )
-
-
-def _quintet_within_caps(a2: complex, c1: complex, c2: complex, c3: complex) -> bool:
-    cap3, cap4, cap5 = _caps()
+def _capped_quintet(
+    a2: complex, c1: complex, c2: complex, c3: complex
+) -> tuple[complex, complex, complex] | None:
+    """(a3, a4, a5) of the point, or None when one of them breaks its class cap."""
     a3, a4, a5 = coefficient_quintet(a2, c1, c2, c3)
-    return abs(a3) <= cap3 and abs(a4) <= cap4 and abs(a5) <= cap5
+    if abs(a3) > _CAP3 or abs(a4) > _CAP4 or abs(a5) > _CAP5:
+        return None
+    return a3, a4, a5
 
 
 def _draw_disc(rng: np.random.Generator, radius: float) -> complex:
@@ -153,101 +147,70 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
         c1 = _draw_disc(rng, 1.0)
         c2 = _draw_disc(rng, c2_limit_abs(abs(c1)))
         c3 = _draw_disc(rng, c3_limit_abs(abs(c1), abs(c2)))
-        if _quintet_within_caps(a2, c1, c2, c3):
+        if _capped_quintet(a2, c1, c2, c3) is not None:
             return UParamPoint(a2, SchwarzParams(c1, c2, c3))
     raise RuntimeError("sampler failed to find a cap-respecting point")  # pragma: no cover
 
 
-def _repair(y: list[float], free: bool) -> None:
-    """Pull an 8-float proposal back into the necessary-conditions box.
-
-    Same radial projection as class_u.project_feasible, inlined on floats,
-    plus the |a2| clamp.  Mutates y.
+def _repair(y: list[complex], free: bool) -> None:
+    """Pull a proposal [a2, c1, c2, c3] back into the region: the |a2| <= 2
+    clamp (free mode only) and class_u.project_coefficients.  Mutates y.
     """
     if free:
-        m = math.hypot(y[0], y[1])
+        a2 = y[0]
+        m = math.hypot(a2.real, a2.imag)
         if m > A2_RADIUS:
             s = A2_RADIUS / m
-            y[0] *= s
-            y[1] *= s
-    m1 = math.hypot(y[2], y[3])
-    if m1 > 1.0:
-        s = 1.0 / m1
-        y[2] *= s
-        y[3] *= s
-        m1 = 1.0
-    b2 = c2_limit_abs(m1)
-    m2 = math.hypot(y[4], y[5])
-    if m2 > b2:
-        s = b2 / m2 if m2 > 0.0 else 0.0
-        y[4] *= s
-        y[5] *= s
-        m2 = b2
-    b3 = c3_limit_abs(m1, m2)
-    m3 = math.hypot(y[6], y[7])
-    if m3 > b3:
-        s = b3 / m3 if m3 > 0.0 else 0.0
-        y[6] *= s
-        y[7] *= s
+            y[0] = complex(a2.real * s, a2.imag * s)
+    y[1], y[2], y[3] = project_coefficients(y[1], y[2], y[3])
 
 
 def _make_value_fn(det: DeterminantId):
-    """Objective on 8 floats; -1.0 signals a cap-rejected (never accepted) point."""
+    """Objective on [a2, c1, c2, c3]; -1.0 signals a cap-rejected (never accepted) point."""
     fn = closed_form_function(det)
-    cap3, cap4, cap5 = _caps()
 
-    def value(y: list[float]) -> float:
-        a2 = complex(y[0], y[1])
-        a3, a4, a5 = coefficient_quintet(
-            a2, complex(y[2], y[3]), complex(y[4], y[5]), complex(y[6], y[7])
-        )
-        if abs(a3) > cap3 or abs(a4) > cap4 or abs(a5) > cap5:
-            return -1.0
-        return abs(fn(a2, a3, a4, a5))
+    def value(y: list[complex]) -> float:
+        quintet = _capped_quintet(*y)
+        return -1.0 if quintet is None else abs(fn(y[0], *quintet))
 
     return value
 
 
-def _flat(pt: UParamPoint) -> list[float]:
-    p = pt.schwarz
-    return [
-        pt.a2.real, pt.a2.imag,
-        p.c1.real, p.c1.imag,
-        p.c2.real, p.c2.imag,
-        p.c3.real, p.c3.imag,
-    ]
-
-
-def _unflat(y: list[float]) -> UParamPoint:
-    return UParamPoint(
-        complex(y[0], y[1]),
-        SchwarzParams(complex(y[2], y[3]), complex(y[4], y[5]), complex(y[6], y[7])),
-    )
+#: (coordinate, axis) of each move: the real (0) and then the imaginary (1)
+#: axis of a2, c1, c2, c3.  Zero mode skips a2's two moves.
+_MOVES = tuple((i, axis) for i in range(4) for axis in (0, 1))
 
 
 def _pattern_search(
-    value_fn, y: list[float], free: bool, budget: int, step_init: float, step_min: float
-) -> tuple[list[float], float, int]:
+    value_fn, y: list[complex], free: bool, budget: int, step_init: float, step_min: float
+) -> tuple[list[complex], float, int]:
     """Coordinate pattern search with strict-increase acceptance.
 
-    Tries +-step on each live coordinate (repairing each proposal first),
-    halves the step after any full sweep without an acceptance, and stops at
-    step_min or once `budget` proposals have been evaluated.  Returns the
-    final floats, value, and total evaluation count (start included).
+    The state is [a2, c1, c2, c3].  Tries +-step along each live move
+    (repairing each proposal first), halves the step after any full sweep
+    without an acceptance, and stops at step_min or once `budget` proposals
+    have been evaluated.  Returns the final state, value, and total
+    evaluation count (start included).
     """
     fx = value_fn(y)
     evals = 1
     proposals = 0
-    lo = 0 if free else 2
+    moves = _MOVES if free else _MOVES[2:]
     step = step_init
     while step >= step_min and proposals < budget:
         improved = False
-        for i in range(lo, 8):
-            for sgn in (1.0, -1.0):
+        # The untouched part of each delta is -0.0, and x + -0.0 is x bit for
+        # bit (signed zeros included), so a move changes exactly one float.
+        deltas = (
+            (complex(step, -0.0), complex(-step, -0.0)),
+            (complex(-0.0, step), complex(-0.0, -step)),
+        )
+        for i, axis in moves:
+            for delta in deltas[axis]:
                 if proposals >= budget:
                     break
                 cand = list(y)
-                cand[i] += sgn * step
+                cand[i] += delta
                 _repair(cand, free)
                 fy = value_fn(cand)
                 proposals += 1
@@ -288,13 +251,14 @@ def _refine_counted(
         raise InfeasibleStart(f"start violates the region inequalities: {p}")
     if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
         raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
-    if not _quintet_within_caps(start.a2, p.c1, p.c2, p.c3):
+    if _capped_quintet(start.a2, p.c1, p.c2, p.c3) is None:
         raise InfeasibleStart("start violates a class coefficient cap")
     value_fn = _make_value_fn(objective.det)
     y, val, evals = _pattern_search(
-        value_fn, _flat(start), objective.a2_mode == "free", budget, step_init, step_min
+        value_fn, [start.a2, p.c1, p.c2, p.c3], objective.a2_mode == "free",
+        budget, step_init, step_min,
     )
-    return _unflat(y), val, evals
+    return UParamPoint(y[0], SchwarzParams(*y[1:])), val, evals
 
 
 def witness_starts(objective: Objective) -> tuple[tuple[str, UParamPoint], ...]:
@@ -324,11 +288,10 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     window route as a final consistency check against the fast path; a
     disagreement raises CrossCheckFailed.
     """
-    cap = evaluation_cap()
-    if config.restarts * config.refine_budget > cap:
+    if config.restarts * config.refine_budget > EVAL_CAP:
         raise ValueError(
             f"restarts * refine_budget = {config.restarts * config.refine_budget} "
-            f"exceeds the evaluation cap {cap} (override via {EVAL_CAP_ENV})"
+            f"exceeds the evaluation cap {EVAL_CAP}"
         )
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
     best_val = -1.0
@@ -374,19 +337,6 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
 # corresponds to an objective.
 # ---------------------------------------------------------------------------
 
-_CHAIN_BY_OBJECTIVE = {
-    ("T", 2, 2, "free"): "thm1_i",
-    ("T", 2, 3, "free"): "thm1_ii",
-    ("T", 3, 1, "free"): "thm1_iii",
-    ("T", 3, 2, "free"): "thm1_iv",
-    ("T", 3, 3, "free"): "thm1_v",
-    ("T", 2, 2, "zero"): "thm2_i",
-    ("T", 2, 3, "zero"): "thm2_ii",
-    ("T", 3, 1, "zero"): "thm2_iii",
-    ("T", 3, 2, "zero"): "thm2_iv",
-    ("T", 3, 3, "zero"): "thm2_v",
-}
-
 _LEDGER_BY_OBJECTIVE = {
     ("H", 2, 2, "free"): "U.H22",
     ("H", 2, 2, "zero"): "U.H22",
@@ -398,14 +348,20 @@ _LEDGER_BY_OBJECTIVE = {
 def objective_reference(objective: Objective) -> tuple[str, str, float]:
     """(kind, id, value) of the bound this objective is compared against.
 
-    kind is 'chain' (recomputed bound chain) or 'ledger' (bare constant).
+    kind is 'chain' (the class-U chain for the same determinant and a2 mode)
+    or 'ledger' (bare constant, for the Hankel objectives, which have no chain).
     """
     key = (*objective.det.key, objective.a2_mode)
-    if key in _CHAIN_BY_OBJECTIVE:
-        tid = _CHAIN_BY_OBJECTIVE[key]
-        return ("chain", tid, theorem_chain(tid).computed_value)
-    tid = _LEDGER_BY_OBJECTIVE[key]
-    return ("ledger", tid, constant(tid).value)
+    if key in _LEDGER_BY_OBJECTIVE:
+        tid = _LEDGER_BY_OBJECTIVE[key]
+        return ("ledger", tid, constant(tid).value)
+    det, a2_zero = str(objective.det), objective.a2_mode == "zero"
+    chain = next(
+        ch
+        for ch in map(theorem_chain, THEOREM_IDS)
+        if ch.function_class == "U" and ch.determinant == det and ch.a2_zero == a2_zero
+    )
+    return ("chain", chain.theorem_id, chain.computed_value)
 
 
 def catalog_witness(objective: Objective) -> tuple[str, float]:

@@ -74,13 +74,18 @@ class TestProjection:
         q = project_feasible(SchwarzParams(0.5, 0.5, 0))
         assert q.c1 == 0.5 and q.c2 == pytest.approx(0.375) and q.c3 == 0
 
-    def test_collapses_tail_when_c1_hits_one(self):
-        q = project_feasible(SchwarzParams(2, 1, 1))
-        assert (q.c1, q.c2, q.c3) == (1 + 0j, 0j, 0j)
+    @pytest.mark.parametrize("c1", [2, 1 + 1j, -3j], ids=["2", "1+1j", "-3j"])
+    def test_collapses_tail_when_c1_hits_one(self, c1):
+        # exactly zero at every phase of c1, not rounding remnants
+        q = project_feasible(SchwarzParams(c1, 0.3 - 0.4j, 0.2))
+        assert (q.c1, q.c2, q.c3) == (c1 / abs(c1), 0j, 0j)
 
     def test_preserves_phase(self):
         q = project_feasible(SchwarzParams(1 + 1j, 0.3 - 0.4j, 0))
         assert cmath.phase(q.c1) == pytest.approx(cmath.phase(1 + 1j))
+        # |c1| = 1/sqrt2 leaves c2 the radius 1/4 < |c2| = 1/2
+        q = project_feasible(SchwarzParams(0.5 + 0.5j, 0.3 - 0.4j, 0))
+        assert abs(q.c2) == pytest.approx(0.25)
         assert cmath.phase(q.c2) == pytest.approx(cmath.phase(0.3 - 0.4j))
 
 

@@ -160,11 +160,10 @@ class TestSearch:
     def test_exit_2_on_unsupported_objective(self, capsys):
         assert run(capsys, "search", "--objective", "T4,1")[0] == 2
 
-    def test_exit_2_over_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("COEFFLAB_EVAL_CAP", "100")
+    def test_exit_2_over_cap(self, capsys):
         code, _, err = run(
-            capsys, "search", "--objective", "T2,2", "--starts", "2",
-            "--budget", "100",
+            capsys, "search", "--objective", "T2,2", "--starts", "10001",
+            "--budget", "1000",
         )
         assert code == 2
         assert "cap" in err

@@ -13,15 +13,12 @@ import coefflab.search as search
 from coefflab.class_u import CrossCheckFailed, SchwarzParams, UParamPoint, schwarz_feasible
 from coefflab.functionals import DeterminantId, UnsupportedId
 from coefflab.search import (
-    DEFAULT_EVAL_CAP,
     DOCUMENTED_SEEDS,
-    EVAL_CAP_ENV,
     InfeasibleStart,
     Objective,
     SearchConfig,
     campaign,
     catalog_witness,
-    evaluation_cap,
     objective_reference,
     refine,
     sample_point,
@@ -147,6 +144,27 @@ class TestReference:
         obj0 = Objective(DeterminantId.parse("H2,3"), "zero")
         assert objective_reference(obj0) == ("ledger", "U.H23_a2zero", 1.0)
 
+    @pytest.mark.parametrize(("label", "kind", "ref_id"), [
+        ("T2,2|free", "chain", "thm1_i"),
+        ("T2,3|free", "chain", "thm1_ii"),
+        ("T3,1|free", "chain", "thm1_iii"),
+        ("T3,2|free", "chain", "thm1_iv"),
+        ("T3,3|free", "chain", "thm1_v"),
+        ("T2,2|zero", "chain", "thm2_i"),
+        ("T2,3|zero", "chain", "thm2_ii"),
+        ("T3,1|zero", "chain", "thm2_iii"),
+        ("T3,2|zero", "chain", "thm2_iv"),
+        ("T3,3|zero", "chain", "thm2_v"),
+        ("H2,2|free", "ledger", "U.H22"),
+        ("H2,2|zero", "ledger", "U.H22"),
+        ("H2,3|free", "ledger", "U.H23"),
+        ("H2,3|zero", "ledger", "U.H23_a2zero"),
+    ])
+    def test_every_objective(self, label, kind, ref_id):
+        det_text, mode = label.split("|")
+        assert objective_reference(Objective(DeterminantId.parse(det_text), mode))[:2] == (
+            kind, ref_id)
+
 
 class TestCampaign:
     def test_deterministic_rerun(self):
@@ -180,14 +198,6 @@ class TestCampaign:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             campaign(T22, SearchConfig(seed=1, restarts=10_000, refine_budget=10_000))
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv(EVAL_CAP_ENV, "500")
-        assert evaluation_cap() == 500
-        with pytest.raises(ValueError):
-            campaign(T22, SearchConfig(seed=1, restarts=2, refine_budget=1000))
-        monkeypatch.delenv(EVAL_CAP_ENV)
-        assert evaluation_cap() == DEFAULT_EVAL_CAP
 
     def test_winner_recheck_raises(self, monkeypatch):
         real = search.closed_form
