@@ -6,6 +6,13 @@ entries exactly the way the published derivation does and records the
 published statement next to the recomputed value, so disagreements surface
 as data instead of silently propagating.
 
+Two chain shapes recur across the classes, so each has one builder over a
+class prefix: the sum of squares |a_n|^2 + |a_{n+1}|^2 bounding |T(2,n)|, and
+the product (|a_n| + |a_{n+2}|)(|a_n|^2 + |a_{n+1}|^2 + |H(2,n)|) bounding
+|T(3,n)|.  A statement is kept only as its published text: an integer, a
+fraction p/q, or a decimal whose trailing "..." marks it as truncated, which
+then matches to TRUNCATED_TOL instead of EXACT_TOL.
+
 Id scheme: prefix U / S names the function class (defect class / univalent),
 a trailing 0 restricts to a2 = 0, and prefix A marks older sharp reference
 values kept for comparison only.
@@ -124,20 +131,27 @@ def _max_quadratic(a: float, b: float, c: float, lo: float, hi: float) -> float:
 Getter = Callable[[str], float]
 
 
-def _chain_thm1_i(c: Getter):
-    v = c("U.a2max") ** 2 + c("U.a3max") ** 2
-    return v, (
-        "|T(2,2)| = |a2^2 - a3^2| <= |a2|^2 + |a3|^2",
-        "U.a2max^2 + U.a3max^2",
+def _sum_of_squares(prefix: str, n: int) -> Callable[[Getter], tuple]:
+    """|T(2,n)| = |a_n^2 - a_{n+1}^2| <= |a_n|^2 + |a_{n+1}|^2 over the class caps."""
+    an, an1 = f"{prefix}.a{n}max", f"{prefix}.a{n + 1}max"
+    steps = (
+        f"|T(2,{n})| = |a{n}^2 - a{n + 1}^2| <= |a{n}|^2 + |a{n + 1}|^2",
+        f"{an}^2 + {an1}^2",
     )
+    return lambda c: (c(an) ** 2 + c(an1) ** 2, steps)
 
 
-def _chain_thm1_ii(c: Getter):
-    v = c("U.a3max") ** 2 + c("U.a4max") ** 2
-    return v, (
-        "|T(2,3)| = |a3^2 - a4^2| <= |a3|^2 + |a4|^2",
-        "U.a3max^2 + U.a4max^2",
+def _product(prefix: str, n: int, hankel: str) -> Callable[[Getter], tuple]:
+    """|T(3,n)| <= (|a_n| + |a_{n+2}|)(|a_n|^2 + |a_{n+1}|^2 + |H(2,n)|) over the
+    class caps and the ledger's Hankel bound `hankel`.
+    """
+    an, an1, an2 = (f"{prefix}.a{k}max" for k in (n, n + 1, n + 2))
+    suffix = " with a2 = 0" if prefix.endswith("0") else ""
+    steps = (
+        f"|T(3,{n})| <= (|a{n}| + |a{n + 2}|) (|a{n}|^2 + |a{n + 1}|^2 + |H(2,{n})|){suffix}",
+        f"({an} + {an2}) ({an}^2 + {an1}^2 + {hankel})",
     )
+    return lambda c: ((c(an) + c(an2)) * (c(an) ** 2 + c(an1) ** 2 + c(hankel)), steps)
 
 
 def _chain_thm1_iii(c: Getter):
@@ -147,22 +161,6 @@ def _chain_thm1_iii(c: Getter):
         "|T(3,1)| = |1 - 2 a2^2 + (a2^2 - c1)(a2^2 + c1)| "
         "<= 1 + 2 |a2|^2 + (|a2|^2 + |c1|) |a3|",
         "1 + 2 U.a2max^2 + (U.a2max^2 + U.c1max) U.a3max",
-    )
-
-
-def _chain_thm1_iv(c: Getter):
-    v = (c("U.a2max") + c("U.a4max")) * (c("U.a2max") ** 2 + c("U.a3max") ** 2 + c("U.H22"))
-    return v, (
-        "|T(3,2)| <= (|a2| + |a4|) (|a2|^2 + |a3|^2 + |H(2,2)|)",
-        "(U.a2max + U.a4max) (U.a2max^2 + U.a3max^2 + U.H22)",
-    )
-
-
-def _chain_thm1_v(c: Getter):
-    v = (c("U.a3max") + c("U.a5max")) * (c("U.a3max") ** 2 + c("U.a4max") ** 2 + c("U.H23"))
-    return v, (
-        "|T(3,3)| <= (|a3| + |a5|) (|a3|^2 + |a4|^2 + |H(2,3)|)",
-        "(U.a3max + U.a5max) (U.a3max^2 + U.a4max^2 + U.H23)",
     )
 
 
@@ -200,47 +198,11 @@ def _chain_thm2_iv(c: Getter):
     )
 
 
-def _chain_thm2_v(c: Getter):
-    v = (c("U0.a3max") + c("U0.a5max")) * (
-        c("U0.a3max") ** 2 + c("U0.a4max") ** 2 + c("U.H23_a2zero")
-    )
-    return v, (
-        "|T(3,3)| <= (|a3| + |a5|) (|a3|^2 + |a4|^2 + |H(2,3)|) with a2 = 0",
-        "(U0.a3max + U0.a5max) (U0.a3max^2 + U0.a4max^2 + U.H23_a2zero)",
-    )
-
-
-def _chain_thm3_i(c: Getter):
-    v = (c("S.a2max") + c("S.a4max")) * (c("S.a2max") ** 2 + c("S.a3max") ** 2 + c("S.H22"))
-    return v, (
-        "|T(3,2)| <= (|a2| + |a4|) (|a2|^2 + |a3|^2 + |H(2,2)|)",
-        "(S.a2max + S.a4max) (S.a2max^2 + S.a3max^2 + S.H22)",
-    )
-
-
-def _chain_thm3_ii(c: Getter):
-    v = (c("S.a3max") + c("S.a5max")) * (c("S.a3max") ** 2 + c("S.a4max") ** 2 + c("S.H23"))
-    return v, (
-        "|T(3,3)| <= (|a3| + |a5|) (|a3|^2 + |a4|^2 + |H(2,3)|)",
-        "(S.a3max + S.a5max) (S.a3max^2 + S.a4max^2 + S.H23)",
-    )
-
-
 def _chain_thm4_i(c: Getter):
     v = c("S0.a4max") * (c("S0.a3max") ** 2 + c("S0.H22"))
     return v, (
         "|T(3,2)| <= |a4| (|a3|^2 + |H(2,2)|) when a2 = 0",
         "S0.a4max (S0.a3max^2 + S0.H22)",
-    )
-
-
-def _chain_thm4_ii(c: Getter):
-    v = (c("S0.a3max") + c("S0.a5max")) * (
-        c("S0.a3max") ** 2 + c("S0.a4max") ** 2 + c("S0.H23")
-    )
-    return v, (
-        "|T(3,3)| <= (|a3| + |a5|) (|a3|^2 + |a4|^2 + |H(2,3)|) with a2 = 0",
-        "(S0.a3max + S0.a5max) (S0.a3max^2 + S0.a4max^2 + S0.H23)",
     )
 
 
@@ -261,22 +223,22 @@ _THM2_IV_NOTE = (
     "so 0.25 is reported alongside the statement"
 )
 
-# theorem_id -> (class, a2_zero, determinant, stated, stated_text, truncated, note, builder)
+# theorem_id -> (class, a2_zero, determinant, stated_text, note, builder)
 _CHAINS: dict[str, tuple] = {
-    "thm1_i": ("U", False, "T2,2", 13.0, "13", False, "", _chain_thm1_i),
-    "thm1_ii": ("U", False, "T2,3", 25.0, "25", False, "", _chain_thm1_ii),
-    "thm1_iii": ("U", False, "T3,1", 24.0, "24", False, "", _chain_thm1_iii),
-    "thm1_iv": ("U", False, "T3,2", 84.0, "84", False, "", _chain_thm1_iv),
-    "thm1_v": ("U", False, "T3,3", 211.8771, "211.8771...", True, _THM1_V_NOTE, _chain_thm1_v),
-    "thm2_i": ("U", True, "T2,2", 1.0, "1", False, "", _chain_thm2_i),
-    "thm2_ii": ("U", True, "T2,3", 1.0, "1", False, "", _chain_thm2_ii),
-    "thm2_iii": ("U", True, "T3,1", 2.0, "2", False, "", _chain_thm2_iii),
-    "thm2_iv": ("U", True, "T3,2", 3.0 / 16.0, "3/16", False, _THM2_IV_NOTE, _chain_thm2_iv),
-    "thm2_v": ("U", True, "T3,3", 4.5, "9/2", False, "", _chain_thm2_v),
-    "thm3_i": ("S", False, "T3,2", 86.1684, "86.1684...", True, "", _chain_thm3_i),
-    "thm3_ii": ("S", False, "T3,3", 239.1895, "239.1895...", True, _LABEL_NOTE, _chain_thm3_ii),
-    "thm4_i": ("S", True, "T3,2", 4.0 / 3.0, "4/3", False, "", _chain_thm4_i),
-    "thm4_ii": ("S", True, "T3,3", 7.3883, "7.3883...", True, _LABEL_NOTE, _chain_thm4_ii),
+    "thm1_i": ("U", False, "T2,2", "13", "", _sum_of_squares("U", 2)),
+    "thm1_ii": ("U", False, "T2,3", "25", "", _sum_of_squares("U", 3)),
+    "thm1_iii": ("U", False, "T3,1", "24", "", _chain_thm1_iii),
+    "thm1_iv": ("U", False, "T3,2", "84", "", _product("U", 2, "U.H22")),
+    "thm1_v": ("U", False, "T3,3", "211.8771...", _THM1_V_NOTE, _product("U", 3, "U.H23")),
+    "thm2_i": ("U", True, "T2,2", "1", "", _chain_thm2_i),
+    "thm2_ii": ("U", True, "T2,3", "1", "", _chain_thm2_ii),
+    "thm2_iii": ("U", True, "T3,1", "2", "", _chain_thm2_iii),
+    "thm2_iv": ("U", True, "T3,2", "3/16", _THM2_IV_NOTE, _chain_thm2_iv),
+    "thm2_v": ("U", True, "T3,3", "9/2", "", _product("U0", 3, "U.H23_a2zero")),
+    "thm3_i": ("S", False, "T3,2", "86.1684...", "", _product("S", 2, "S.H22")),
+    "thm3_ii": ("S", False, "T3,3", "239.1895...", _LABEL_NOTE, _product("S", 3, "S.H23")),
+    "thm4_i": ("S", True, "T3,2", "4/3", "", _chain_thm4_i),
+    "thm4_ii": ("S", True, "T3,3", "7.3883...", _LABEL_NOTE, _product("S0", 3, "S0.H23")),
 }
 
 THEOREM_IDS: tuple[str, ...] = tuple(_CHAINS)
@@ -291,7 +253,7 @@ def theorem_chain(
     value, so pruning the ledger can never silently change a chain.
     """
     try:
-        klass, a2_zero, det, stated, stated_text, truncated, note, builder = _CHAINS[theorem_id]
+        klass, a2_zero, det, stated_text, note, builder = _CHAINS[theorem_id]
     except KeyError:
         raise UnknownTheorem(f"no chain {theorem_id!r}; known: {THEOREM_IDS}") from None
 
@@ -304,6 +266,9 @@ def theorem_chain(
             return constants[id_]
 
     value, steps = builder(getter)
+    truncated = stated_text.endswith("...")
+    num, _, den = stated_text.removesuffix("...").partition("/")
+    stated = float(num) / float(den) if den else float(num)
     tol = TRUNCATED_TOL if truncated else EXACT_TOL
     return BoundChain(
         theorem_id=theorem_id,

@@ -256,12 +256,12 @@ def _f4(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named reference function with its window and (when known) parameters."""
+    """A named reference function with its window and parameters."""
 
     name: str
     evaluator: Callable[[complex], complex]
     window: CoefficientWindow
-    param: UParamPoint | None
+    param: UParamPoint
     description: str = ""
 
 

@@ -261,21 +261,23 @@ def _refine_counted(
     return UParamPoint(y[0], SchwarzParams(*y[1:])), val, evals
 
 
+def _catalog_entries(objective: Objective):
+    """(name, entry) of each catalog entry in the objective's a2 mode: all of
+    them when a2 is free, those with a2 = 0 in zero mode.
+    """
+    for name in CATALOG_NAMES:
+        entry = catalog(name)
+        if objective.a2_mode == "free" or abs(entry.param.a2) <= FEASIBILITY_TOL:
+            yield name, entry
+
+
 def witness_starts(objective: Objective) -> tuple[tuple[str, UParamPoint], ...]:
     """Catalog parameter points compatible with the objective's a2 mode.
 
     These seed the deterministic leading chains of every campaign, which is
     what guarantees best_value never falls below a known attainment.
     """
-    out = []
-    for name in CATALOG_NAMES:
-        entry = catalog(name)
-        if entry.param is None:
-            continue
-        if objective.a2_mode == "zero" and abs(entry.param.a2) > FEASIBILITY_TOL:
-            continue
-        out.append((name, entry.param))
-    return tuple(out)
+    return tuple((name, entry.param) for name, entry in _catalog_entries(objective))
 
 
 def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
@@ -299,17 +301,12 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     per: list[tuple[int, float]] = []
     total = 0
     witnesses = witness_starts(objective)
-    for j, (_name, start) in enumerate(witnesses):
-        pt, val, used = _refine_counted(
-            objective, start, config.refine_budget, config.step_init, config.step_min
-        )
-        total += used
-        per.append((j - len(witnesses), val))
-        if val > best_val:
-            best_val, best_pt = val, pt
-    for k in range(config.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        start = sample_point(rng, objective.a2_mode)
+    for k in range(-len(witnesses), config.restarts):
+        if k < 0:
+            start = witnesses[k][1]  # witness j runs as k = j - W
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+            start = sample_point(rng, objective.a2_mode)
         pt, val, used = _refine_counted(
             objective, start, config.refine_budget, config.step_init, config.step_min
         )
@@ -367,10 +364,7 @@ def objective_reference(objective: Objective) -> tuple[str, str, float]:
 def catalog_witness(objective: Objective) -> tuple[str, float]:
     """Best catalog attainment of the objective (zero mode filters to a2 = 0)."""
     best_name, best_val = "", -1.0
-    for name in CATALOG_NAMES:
-        entry = catalog(name)
-        if objective.a2_mode == "zero" and abs(entry.window.coeff(2)) > FEASIBILITY_TOL:
-            continue
+    for name, entry in _catalog_entries(objective):
         val = abs(closed_form(entry.window, objective.det))
         if val > best_val:
             best_name, best_val = name, val

@@ -1,6 +1,8 @@
 """Bound chains recomputed from ledger constants, frozen by hand arithmetic."""
 
 import math
+import re
+from collections.abc import Mapping
 
 import pytest
 
@@ -33,8 +35,43 @@ HAND_VALUES = {
     "thm4_ii": (1.75 + 1.0 / math.sqrt(7.0)) * (1.0 + 4.0 / 9.0 + 2.02757),
 }
 
+# theorem_id -> (stated_text, stated_value, truncated) as published
+STATEMENTS = {
+    "thm1_i": ("13", 13.0, False),
+    "thm1_ii": ("25", 25.0, False),
+    "thm1_iii": ("24", 24.0, False),
+    "thm1_iv": ("84", 84.0, False),
+    "thm1_v": ("211.8771...", 211.8771, True),
+    "thm2_i": ("1", 1.0, False),
+    "thm2_ii": ("1", 1.0, False),
+    "thm2_iii": ("2", 2.0, False),
+    "thm2_iv": ("3/16", 0.1875, False),
+    "thm2_v": ("9/2", 4.5, False),
+    "thm3_i": ("86.1684...", 86.1684, True),
+    "thm3_ii": ("239.1895...", 239.1895, True),
+    "thm4_i": ("4/3", 4.0 / 3.0, False),
+    "thm4_ii": ("7.3883...", 7.3883, True),
+}
+
 # statements the recomputation is expected to contradict
 EXPECTED_MISMATCHES = {"thm1_v", "thm2_iv"}
+
+
+class _RecordingLedger(Mapping):
+    """The ledger's values, recording every id a chain reads."""
+
+    def __init__(self):
+        self.ids = set()
+
+    def __getitem__(self, id_):
+        self.ids.add(id_)
+        return LEDGER[id_].value
+
+    def __iter__(self):
+        return iter(LEDGER)
+
+    def __len__(self):
+        return len(LEDGER)
 
 
 class TestLedger:
@@ -69,9 +106,19 @@ class TestChains:
         assert theorem_chain("thm2_iv").delta == pytest.approx(0.0625)
 
     def test_steps_spell_out_the_ledger_ids(self):
-        ch = theorem_chain("thm1_v")
-        assert ch.steps and all(isinstance(s, str) for s in ch.steps)
-        assert any("U.H23" in s for s in ch.steps)
+        # in every chain the ids the last step names are exactly the ids its
+        # arithmetic reads
+        for tid in THEOREM_IDS:
+            ch = theorem_chain(tid)
+            assert ch.steps and all(isinstance(s, str) for s in ch.steps), tid
+            read = _RecordingLedger()
+            assert theorem_chain(tid, constants=read) == ch, tid
+            assert set(re.findall(r"\b[AUS]0?\.\w+", ch.steps[-1])) == read.ids, tid
+
+    @pytest.mark.parametrize("tid", THEOREM_IDS)
+    def test_statement_pinned(self, tid):
+        ch = theorem_chain(tid)
+        assert (ch.stated_text, ch.stated_value, ch.truncated) == STATEMENTS[tid]
 
     def test_mismatches_carry_notes(self):
         assert theorem_chain("thm1_v").note
