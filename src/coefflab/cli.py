@@ -343,9 +343,7 @@ def _campaign_row(objective: Objective, config: SearchConfig,
 def cmd_search(args) -> dict:
     objective = Objective(DeterminantId.parse(args.objective),
                           "zero" if args.a2zero else "free")
-    config = SearchConfig(seed=args.seed, restarts=args.starts,
-                          refine_budget=args.budget, step_init=args.step_init,
-                          step_min=args.step_min)
+    config = SearchConfig(seed=args.seed, restarts=args.starts, refine_budget=args.budget)
     result = campaign(objective, config)
     row, flags = _campaign_row(objective, config, result)
     p = result.best_point
@@ -358,8 +356,7 @@ def cmd_search(args) -> dict:
         per_restart=[list(item) for item in result.per_restart],
     )
     inputs = {"objective": args.objective, "a2zero": args.a2zero, "seed": args.seed,
-              "starts": args.starts, "budget": args.budget,
-              "step_init": args.step_init, "step_min": args.step_min}
+              "starts": args.starts, "budget": args.budget}
     return document("search", inputs, results, flags)
 
 
@@ -491,10 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True, help="determinant id, e.g. T2,2")
     p.add_argument("--a2zero", action="store_true", help="pin a2 = 0")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--budget", type=int, default=20_000)
-    p.add_argument("--step-init", type=float, default=0.25, dest="step_init")
-    p.add_argument("--step-min", type=float, default=1e-7, dest="step_min")
+    p.add_argument("--starts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--budget", type=int, default=SearchConfig.refine_budget)
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("membership", parents=[common],
@@ -509,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="run the full verification sweep")
     p.add_argument("--all", action="store_true", help="accepted for symmetry; the report is always complete")
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--budget", type=int, default=20_000)
+    p.add_argument("--starts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--budget", type=int, default=SearchConfig.refine_budget)
     p.set_defaults(handler=cmd_report)
 
     return parser

@@ -20,6 +20,7 @@ a2..a5.  Keeping both routes alive gives every caller a built-in cross-check:
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +40,8 @@ class UnsupportedId(KeyError):
 class CoefficientWindow:
     """Leading Taylor coefficients ``a1..am`` of a normalized function.
 
-    Normalization means ``a1 == 1`` exactly; construction enforces it.
+    Normalization means ``a1 == 1`` exactly; construction enforces it and
+    rejects non-finite entries.
     """
 
     a: tuple[complex, ...]
@@ -50,6 +52,8 @@ class CoefficientWindow:
             raise ValueError("a window needs at least a1")
         if coeffs[0] != 1:
             raise ValueError(f"window must be normalized with a1 = 1, got a1 = {coeffs[0]}")
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError(f"window entries must be finite, got {coeffs}")
         object.__setattr__(self, "a", coeffs)
 
     @property

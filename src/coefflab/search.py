@@ -10,10 +10,17 @@ values.  Everything found here is still relaxation evidence, not a
 membership proof.
 
 A search point is the list [a2, c1, c2, c3] of complex parameters.  Each
+restart is one coordinate pattern search with a fixed schedule: the step
+starts at STEP_INIT and halves after every sweep without an acceptance, until
+it drops below STEP_MIN or the restart's proposal budget is spent.  Each
 proposal moves one real or imaginary part, is pulled back by the |a2| clamp
 and class_u.project_coefficients (the package's one projection), and is
 scored only if _capped_quintet (the one cap check, shared with the sampler
 and the start check) accepts it.
+
+A campaign evaluates at most restarts * (refine_budget + 1) points over its
+sampled restarts (each scores its start and then up to refine_budget
+proposals); that product may not exceed EVAL_CAP.
 
 Determinism contract: restart k draws from an RNG stream derived only from
 (seed, k), acceptance inside a restart is sequential and tie-free, and the
@@ -47,8 +54,13 @@ from .class_u import (
 )
 from .functionals import DeterminantId, closed_form, closed_form_function
 
-#: Hard cap on restarts * refine_budget per campaign.
+#: Hard cap on restarts * (refine_budget + 1), the evaluations of a campaign's
+#: sampled restarts.
 EVAL_CAP = 10_000_000
+
+#: Pattern-search schedule: the first step, halved down to the last one.
+STEP_INIT = 0.25
+STEP_MIN = 1e-7
 
 #: Class coefficient caps on |a3|, |a4|, |a5| from the ledger, with the feasibility slack.
 _CAP3, _CAP4, _CAP5 = (constant(f"U.a{k}max").value + FEASIBILITY_TOL for k in (3, 4, 5))
@@ -92,18 +104,12 @@ class SearchConfig:
     seed: int
     restarts: int = 200
     refine_budget: int = 20_000
-    step_init: float = 0.25
-    step_min: float = 1e-7
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.refine_budget < 0:
             raise ValueError(f"refine_budget must be >= 0, got {self.refine_budget}")
-        if not (0.0 < self.step_min <= self.step_init):
-            raise ValueError(
-                f"need 0 < step_min <= step_init, got {self.step_min} / {self.step_init}"
-            )
 
 
 @dataclass(frozen=True)
@@ -165,39 +171,54 @@ def _repair(y: list[complex], free: bool) -> None:
     y[1], y[2], y[3] = project_coefficients(y[1], y[2], y[3])
 
 
-def _make_value_fn(det: DeterminantId):
-    """Objective on [a2, c1, c2, c3]; -1.0 signals a cap-rejected (never accepted) point."""
-    fn = closed_form_function(det)
-
-    def value(y: list[complex]) -> float:
-        quintet = _capped_quintet(*y)
-        return -1.0 if quintet is None else abs(fn(y[0], *quintet))
-
-    return value
-
-
 #: (coordinate, axis) of each move: the real (0) and then the imaginary (1)
 #: axis of a2, c1, c2, c3.  Zero mode skips a2's two moves.
 _MOVES = tuple((i, axis) for i in range(4) for axis in (0, 1))
 
 
-def _pattern_search(
-    value_fn, y: list[complex], free: bool, budget: int, step_init: float, step_min: float
-) -> tuple[list[complex], float, int]:
-    """Coordinate pattern search with strict-increase acceptance.
+def refine(
+    objective: Objective, start: UParamPoint, budget: int = SearchConfig.refine_budget
+) -> tuple[UParamPoint, float]:
+    """Climb from a feasible start; returns (point, value), value >= start value.
 
-    The state is [a2, c1, c2, c3].  Tries +-step along each live move
+    With budget 0 the start is simply evaluated and returned.
+    """
+    pt, val, _ = _refine_counted(objective, start, budget)
+    return pt, val
+
+
+def _refine_counted(
+    objective: Objective, start: UParamPoint, budget: int
+) -> tuple[UParamPoint, float, int]:
+    """One restart: coordinate pattern search with strict-increase acceptance.
+
+    Tries +-step along each live move of the state [a2, c1, c2, c3]
     (repairing each proposal first), halves the step after any full sweep
-    without an acceptance, and stops at step_min or once `budget` proposals
-    have been evaluated.  Returns the final state, value, and total
+    without an acceptance, and stops below STEP_MIN or once `budget`
+    proposals have been scored.  Returns the final point, its value, and the
     evaluation count (start included).
     """
-    fx = value_fn(y)
-    evals = 1
-    proposals = 0
+    p = start.schwarz
+    if not schwarz_feasible(p).feasible:
+        raise InfeasibleStart(f"start violates the region inequalities: {p}")
+    if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
+        raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
+    if _capped_quintet(start.a2, p.c1, p.c2, p.c3) is None:
+        raise InfeasibleStart("start violates a class coefficient cap")
+    fn = closed_form_function(objective.det)
+
+    def value(y: list[complex]) -> float:
+        # -1.0 marks a cap-rejected point, which is never accepted
+        quintet = _capped_quintet(*y)
+        return -1.0 if quintet is None else abs(fn(y[0], *quintet))
+
+    free = objective.a2_mode == "free"
     moves = _MOVES if free else _MOVES[2:]
-    step = step_init
-    while step >= step_min and proposals < budget:
+    y = [start.a2, p.c1, p.c2, p.c3]
+    fx = value(y)
+    evals = 1  # the start, then one per proposal
+    step = STEP_INIT
+    while step >= STEP_MIN and evals <= budget:
         improved = False
         # The untouched part of each delta is -0.0, and x + -0.0 is x bit for
         # bit (signed zeros included), so a move changes exactly one float.
@@ -207,13 +228,12 @@ def _pattern_search(
         )
         for i, axis in moves:
             for delta in deltas[axis]:
-                if proposals >= budget:
+                if evals > budget:
                     break
                 cand = list(y)
                 cand[i] += delta
                 _repair(cand, free)
-                fy = value_fn(cand)
-                proposals += 1
+                fy = value(cand)
                 evals += 1
                 if fy > fx:
                     y, fx = cand, fy
@@ -221,44 +241,7 @@ def _pattern_search(
                     break
         if not improved:
             step *= 0.5
-    return y, fx, evals
-
-
-def refine(
-    objective: Objective,
-    start: UParamPoint,
-    budget: int = 20_000,
-    step_init: float = 0.25,
-    step_min: float = 1e-7,
-) -> tuple[UParamPoint, float]:
-    """Climb from a feasible start; returns (point, value), value >= start value.
-
-    With budget 0 the start is simply evaluated and returned.
-    """
-    pt, val, _ = _refine_counted(objective, start, budget, step_init, step_min)
-    return pt, val
-
-
-def _refine_counted(
-    objective: Objective,
-    start: UParamPoint,
-    budget: int,
-    step_init: float,
-    step_min: float,
-) -> tuple[UParamPoint, float, int]:
-    p = start.schwarz
-    if not schwarz_feasible(p).feasible:
-        raise InfeasibleStart(f"start violates the region inequalities: {p}")
-    if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
-        raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
-    if _capped_quintet(start.a2, p.c1, p.c2, p.c3) is None:
-        raise InfeasibleStart("start violates a class coefficient cap")
-    value_fn = _make_value_fn(objective.det)
-    y, val, evals = _pattern_search(
-        value_fn, [start.a2, p.c1, p.c2, p.c3], objective.a2_mode == "free",
-        budget, step_init, step_min,
-    )
-    return UParamPoint(y[0], SchwarzParams(*y[1:])), val, evals
+    return UParamPoint(y[0], SchwarzParams(*y[1:])), fx, evals
 
 
 def _catalog_entries(objective: Objective):
@@ -290,10 +273,10 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     window route as a final consistency check against the fast path; a
     disagreement raises CrossCheckFailed.
     """
-    if config.restarts * config.refine_budget > EVAL_CAP:
+    evals = config.restarts * (config.refine_budget + 1)
+    if evals > EVAL_CAP:
         raise ValueError(
-            f"restarts * refine_budget = {config.restarts * config.refine_budget} "
-            f"exceeds the evaluation cap {EVAL_CAP}"
+            f"restarts * (refine_budget + 1) = {evals} exceeds the evaluation cap {EVAL_CAP}"
         )
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
     best_val = -1.0
@@ -307,15 +290,12 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
         else:
             rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
             start = sample_point(rng, objective.a2_mode)
-        pt, val, used = _refine_counted(
-            objective, start, config.refine_budget, config.step_init, config.step_min
-        )
+        pt, val, used = _refine_counted(objective, start, config.refine_budget)
         total += used
         per.append((k, val))
         if val > best_val:
             best_val, best_pt = val, pt
 
-    assert best_pt is not None
     window = u_coefficients(best_pt, 5)
     official = abs(closed_form(window, objective.det))
     if not abs(official - best_val) <= 1e-12:

@@ -68,18 +68,17 @@ def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
-def series_reciprocal(
-    s: TruncatedSeries, threshold: float = ZERO_TERM_THRESHOLD
-) -> TruncatedSeries:
+def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse at the same order.
 
     Uses the forward recursion ``b0 = 1/c0``,
     ``b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}``.
     """
     c0 = s.coeffs[0]
-    if abs(c0) < threshold:
+    if abs(c0) < ZERO_TERM_THRESHOLD:
         raise ZeroConstantTerm(
-            f"constant term {c0!r} is below the invertibility threshold {threshold:g}"
+            f"constant term {c0!r} is below the invertibility threshold "
+            f"{ZERO_TERM_THRESHOLD:g}"
         )
     inv = 1.0 / c0
     out = [inv]

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import coefflab.cli as cli
+import coefflab.search as search
 from coefflab.class_u import EvaluationFailure
 from coefflab.cli import main, parse_complex
 
@@ -167,6 +168,20 @@ class TestSearch:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_exit_2_over_cap_on_start_evaluations(self, capsys, monkeypatch):
+        # 6 restarts * (1 proposal + 1 start) = 12 evaluations against a cap of 10
+        monkeypatch.setattr(search, "EVAL_CAP", 10)
+        code, out, err = run(
+            capsys, "search", "--objective", "T2,2", "--starts", "6", "--budget", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "cap" in err
+
+    @pytest.mark.parametrize("flag", ["--step-init", "--step-min"])
+    def test_exit_2_on_step_flags(self, capsys, flag):
+        code, out, _ = run(capsys, "search", "--objective", "T2,2", flag, "0.1")
+        assert (code, out) == (2, "")
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run(

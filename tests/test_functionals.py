@@ -28,6 +28,13 @@ class TestWindow:
         with pytest.raises(ValueError):
             CoefficientWindow((2, 1))
 
+    @pytest.mark.parametrize(
+        "entry", [float("nan"), float("inf"), complex(0, float("-inf")), complex(float("nan"), 1)]
+    )
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(ValueError, match="finite"):
+            CoefficientWindow((1, 2j, entry, 0, 0))
+
     def test_one_based_accessor(self):
         assert F1.coeff(1) == 1
         assert F1.coeff(4) == -4j

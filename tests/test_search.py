@@ -49,13 +49,16 @@ class TestConfig:
         [
             {"restarts": 0},
             {"refine_budget": -1},
-            {"step_init": 0.1, "step_min": 0.2},
-            {"step_min": 0.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(seed=1, **kwargs)
+
+    @pytest.mark.parametrize("field", ["step_init", "step_min"])
+    def test_step_schedule_is_not_a_setting(self, field):
+        with pytest.raises(TypeError):
+            SearchConfig(seed=1, **{field: 0.1})
 
 
 class TestSampler:
@@ -198,6 +201,14 @@ class TestCampaign:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             campaign(T22, SearchConfig(seed=1, restarts=10_000, refine_budget=10_000))
+
+    def test_cap_counts_start_evaluations(self, monkeypatch):
+        # every restart scores its start, then up to refine_budget proposals
+        monkeypatch.setattr(search, "EVAL_CAP", 10)
+        campaign(T22, SearchConfig(seed=1, restarts=5, refine_budget=1))  # 5 * 2 = 10
+        campaign(T22, SearchConfig(seed=1, restarts=10, refine_budget=0))  # 10 * 1 = 10
+        with pytest.raises(ValueError, match="cap"):
+            campaign(T22, SearchConfig(seed=1, restarts=6, refine_budget=1))  # 6 * 2 = 12
 
     def test_winner_recheck_raises(self, monkeypatch):
         real = search.closed_form

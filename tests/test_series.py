@@ -87,11 +87,6 @@ class TestReciprocal:
         with pytest.raises(ZeroConstantTerm):
             series_reciprocal(TruncatedSeries((1e-13, 1, 1)))
 
-    def test_threshold_is_configurable(self):
-        s = TruncatedSeries((1e-13, 1))
-        r = series_reciprocal(s, threshold=1e-14)
-        assert abs(r[0] - 1e13) <= 1.0
-
 
 class TestTruncate:
     def test_drops_tail(self):
