@@ -48,13 +48,17 @@ A2_RADIUS = 2.0
 #: Relative step used for central finite differences in the defect check.
 FD_STEP_SCALE = 1e-6
 
+#: Most samples (radii times samples per circle) one defect check may take.
+MEMBERSHIP_SAMPLE_CAP = 1_000_000
+
 
 class UnknownName(KeyError):
     """Name not present in the function catalog."""
 
 
 class EvaluationFailure(ArithmeticError):
-    """An evaluation returned a non-finite value, e.g. at a pole on the sampling grid."""
+    """An evaluation failed or gave a non-finite value, e.g. f vanishing on the
+    sampling grid, or a window whose determinant overflows."""
 
 
 class CrossCheckFailed(ArithmeticError):
@@ -63,27 +67,32 @@ class CrossCheckFailed(ArithmeticError):
 
 @dataclass(frozen=True)
 class SchwarzParams:
-    """Leading coefficients (c1, c2, c3) of the bounded-derivative map w."""
+    """Leading coefficients (c1, c2, c3) of the bounded-derivative map w; all finite."""
 
     c1: complex
     c2: complex
     c3: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c1", complex(self.c1))
-        object.__setattr__(self, "c2", complex(self.c2))
-        object.__setattr__(self, "c3", complex(self.c3))
+        c = (complex(self.c1), complex(self.c2), complex(self.c3))
+        if not all(map(cmath.isfinite, c)):
+            raise ValueError(f"Schwarz coefficients must be finite, got {c}")
+        object.__setattr__(self, "c1", c[0])
+        object.__setattr__(self, "c2", c[1])
+        object.__setattr__(self, "c3", c[2])
 
 
 @dataclass(frozen=True)
 class UParamPoint:
-    """A point (a2, c1, c2, c3) of the parameter region."""
+    """A point (a2, c1, c2, c3) of the parameter region; a2 finite and |a2| <= 2."""
 
     a2: complex
     schwarz: SchwarzParams
 
     def __post_init__(self) -> None:
         a2 = complex(self.a2)
+        if not cmath.isfinite(a2):
+            raise ValueError(f"a2 must be finite, got {a2}")
         if abs(a2) > A2_RADIUS + FEASIBILITY_TOL:
             raise ValueError(f"|a2| = {abs(a2):.17g} exceeds the radius {A2_RADIUS}")
         object.__setattr__(self, "a2", a2)
@@ -339,13 +348,17 @@ def membership_max_defect(
 ) -> DefectReport:
     """Sample the defect on circles of the given radii.
 
-    f' comes from a central difference with step FD_STEP_SCALE * r along the
-    real direction (direction is irrelevant for an analytic f).  A value
-    below 1 everywhere is numerical membership evidence only; a value above 1
-    at any sample is a concrete non-membership witness.
+    The defect is taken on g = z/f through the identity
+    (z/f)^2 f' - 1 = g - z g' - 1, with g' from a central difference of g at
+    step FD_STEP_SCALE * r along the real direction (direction is irrelevant
+    for an analytic g).  g stays finite where f has a pole, so the step may
+    reach past one.  A value below 1 everywhere is numerical membership
+    evidence only; a value above 1 at any sample is a concrete
+    non-membership witness.
 
-    Raises EvaluationFailure if the evaluator produces a non-finite value on
-    the grid, which signals a pole inside the sampled disc.
+    Raises ValueError if more than MEMBERSHIP_SAMPLE_CAP samples are asked
+    for in total, and EvaluationFailure if f fails or vanishes at a sample
+    or the defect is non-finite there.
     """
     radii = tuple(radii)
     if not radii:
@@ -354,6 +367,11 @@ def membership_max_defect(
         raise ValueError(f"radii must lie strictly inside (0, 1), got {radii}")
     if samples_per_circle < 8:
         raise ValueError(f"need at least 8 samples per circle, got {samples_per_circle}")
+    if len(radii) * samples_per_circle > MEMBERSHIP_SAMPLE_CAP:
+        raise ValueError(
+            f"{len(radii)} radii x {samples_per_circle} samples exceeds the cap of "
+            f"{MEMBERSHIP_SAMPLE_CAP} samples"
+        )
 
     best = -1.0
     where = 0j
@@ -363,27 +381,16 @@ def membership_max_defect(
             theta = 2.0 * math.pi * k / samples_per_circle
             z = complex(r * math.cos(theta), r * math.sin(theta))
             try:
-                fz = evaluator(z)
-                fp = evaluator(z + h)
-                fm = evaluator(z - h)
+                g = z / evaluator(z)
+                gp = (z + h) / evaluator(z + h)
+                gm = (z - h) / evaluator(z - h)
             except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                # a pole (or log branch point) sitting on the grid
+                # f vanishes, or a pole or log branch point sits on the grid
                 raise EvaluationFailure(f"evaluator failed near z = {z}: {exc}") from exc
-            if not all(_finite(v) for v in (fz, fp, fm)):
-                raise EvaluationFailure(f"non-finite evaluation near z = {z}")
-            deriv = (fp - fm) / (2.0 * h)
-            try:
-                ratio = z / fz
-            except ZeroDivisionError as exc:
-                raise EvaluationFailure(f"f vanishes at the sample z = {z}") from exc
-            defect = abs(ratio * ratio * deriv - 1.0)
+            defect = abs(g - z * (gp - gm) / (2.0 * h) - 1.0)
             if not math.isfinite(defect):
                 raise EvaluationFailure(f"non-finite defect at z = {z}")
             if defect > best:
                 best = defect
                 where = z
     return DefectReport(max_defect=best, argmax=where)
-
-
-def _finite(v: complex) -> bool:
-    return math.isfinite(v.real) and math.isfinite(v.imag)

@@ -15,9 +15,11 @@ text are flattened renderings of the same payload: their columns are the
 result fields, nested keys joined with '_' (reference.id is reference_id) and
 lists joined with ';'.  Identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 argument or parse errors (non-finite literals
-included), 3 runtime evaluation failures (window too short, non-finite
-evaluator values or results, a failed numerical cross-check).
+Exit codes: 0 success, 2 argument or parse errors (non-finite literals and
+membership requests over the sample cap included), 3 runtime evaluation
+failures (window too short, an evaluator that fails or vanishes on the
+sampling grid, a non-finite defect or result, a failed numerical
+cross-check).
 """
 
 from __future__ import annotations

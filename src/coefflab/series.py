@@ -1,17 +1,14 @@
-"""Truncated complex power-series arithmetic.
+"""Reciprocal of a truncated complex power series.
 
 A :class:`TruncatedSeries` stores Taylor coefficients ``c0..cN`` at a fixed
-truncation order ``N``.  Operations never extend an operand silently: the
-result order is the minimum of the operand orders, so truncation depth stays
-explicit at every step.
+truncation order ``N``.  The one operation is :func:`series_reciprocal`,
+which inverts a series at its own order; class_u uses it to turn the z/f
+polynomial of a parameter point into the coefficients of f/z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: Order used when callers have no specific truncation depth in mind.
-DEFAULT_ORDER = 8
 
 #: Constant terms smaller than this are treated as non-invertible.
 ZERO_TERM_THRESHOLD = 1e-12
@@ -42,30 +39,6 @@ class TruncatedSeries:
 
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k]
-
-
-def unit(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """The multiplicative identity ``1 + 0z + ...`` at the given order."""
-    return TruncatedSeries((1.0,) + (0.0,) * order)
-
-
-def truncate(s: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Drop coefficients above ``order``.  Extending is an error."""
-    if order > s.order:
-        raise ValueError(f"cannot extend a series of order {s.order} to order {order}")
-    return TruncatedSeries(s.coeffs[: order + 1])
-
-
-def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product, truncated to the smaller operand order."""
-    order = min(s.order, t.order)
-    out = []
-    for k in range(order + 1):
-        acc = 0j
-        for i in range(k + 1):
-            acc += s.coeffs[i] * t.coeffs[k - i]
-        out.append(acc)
-    return TruncatedSeries(tuple(out))
 
 
 def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:

@@ -128,6 +128,17 @@ class TestCoefficientMap:
         with pytest.raises(ValueError):
             UParamPoint(2.5, SchwarzParams(0, 0, 0))
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("-inf"))],
+                             ids=["nan", "inf", "-infj"])
+    def test_non_finite_entries_rejected(self, bad):
+        # refine, project_feasible and u_coefficients would otherwise return
+        # NaN or report a bad input as a disagreement of the two routes
+        for c in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                SchwarzParams(*c)
+        with pytest.raises(ValueError, match="finite"):
+            UParamPoint(bad, SchwarzParams(0, 0, 0))
+
     def test_route_disagreement_raises(self, monkeypatch):
         real = class_u._series_coefficients
 
@@ -224,6 +235,16 @@ class TestMembership:
         rep = membership_max_defect(catalog("koebe").evaluator, (0.9,), 256)
         assert rep.max_defect == pytest.approx(0.81, abs=1e-5)
 
+    @pytest.mark.parametrize("r", [0.9, 0.99, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6])
+    @pytest.mark.parametrize("name", ["f1", "f2", "f3", "koebe"])
+    def test_defect_is_r_squared_up_to_the_pole(self, name, r):
+        # The exact defect of these four is |z|^2.  For f2 at r = 1-1e-5 and
+        # 1-1e-6 and koebe at 1-1e-6 the step 1e-6 r reaches past the pole of
+        # f at z = 1, where only the difference of z/f stays finite.
+        rep = membership_max_defect(catalog(name).evaluator, (r,), 512)
+        assert rep.max_defect == pytest.approx(r * r, rel=1e-8)
+        assert rep.max_defect < 1
+
     def test_specimen_flagged_with_witness(self):
         rep = membership_max_defect(named_evaluator("z+2z3"), (0.7,), 256)
         assert rep.max_defect > 1
@@ -242,6 +263,12 @@ class TestMembership:
             membership_max_defect(catalog("f1").evaluator, (1.0,), 64)
         with pytest.raises(ValueError):
             membership_max_defect(catalog("f1").evaluator, (0.5,), 4)
+
+    def test_sample_cap(self, monkeypatch):
+        monkeypatch.setattr(class_u, "MEMBERSHIP_SAMPLE_CAP", 32)
+        membership_max_defect(catalog("f1").evaluator, (0.5, 0.6), 16)
+        with pytest.raises(ValueError, match="cap"):
+            membership_max_defect(catalog("f1").evaluator, (0.5, 0.6), 17)
 
     def test_non_finite_evaluator(self):
         with pytest.raises(EvaluationFailure):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import coefflab.class_u as class_u
 import coefflab.cli as cli
 import coefflab.search as search
 from coefflab.class_u import EvaluationFailure
@@ -212,6 +213,17 @@ class TestMembership:
         r = json.loads(out)["results"]
         assert r["verdict"] == "non-member-witness"
         assert r["max_defect"] > 1
+
+    def test_koebe_next_to_its_pole(self, capsys):
+        code, out, _ = run(capsys, "membership", "--function", "koebe", "--radius", "0.999999")
+        assert code == 0
+        assert json.loads(out)["results"]["verdict"] == "evidence-member"
+
+    def test_exit_2_over_sample_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(class_u, "MEMBERSHIP_SAMPLE_CAP", 100)
+        code, out, err = run(capsys, "membership", "--function", "f1", "--samples", "51")
+        assert (code, out) == (2, "")
+        assert "cap" in err
 
     def test_default_radii(self, capsys):
         code, out, _ = run(capsys, "membership", "--function", "koebe")
