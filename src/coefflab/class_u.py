@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .functionals import CoefficientWindow
 from .series import TruncatedSeries, series_reciprocal
 
@@ -47,6 +49,13 @@ A2_RADIUS = 2.0
 
 #: Relative step used for central finite differences in the defect check.
 FD_STEP_SCALE = 1e-6
+
+#: Samples whose defect lies within ARGMAX_TIE_TOL * max(1, max_defect) of
+#: the maximum tie for the argmax.  The central difference carries rounding
+#: noise of about 1e-10 to 1e-9 relative (machine epsilon over FD_STEP_SCALE),
+#: so on a circle where the defect is flat, such as |z|^2, a tighter
+#: tolerance would let that noise pick the sample.
+ARGMAX_TIE_TOL = 1e-8
 
 #: Most samples (radii times samples per circle) one defect check may take.
 MEMBERSHIP_SAMPLE_CAP = 1_000_000
@@ -110,16 +119,14 @@ class FeasibilityCheck:
     margins: tuple[float, float, float]
 
 
-def c2_limit_abs(c1_abs: float) -> float:
-    """Radius available to c2 once |c1| is fixed (clamped at zero)."""
-    raw = 0.5 * (1.0 - c1_abs * c1_abs)
-    return raw if raw > 0.0 else 0.0
+def c2_limit_abs(c1_abs):
+    """Radius available to c2 once |c1| is fixed (clamped at zero); elementwise."""
+    return np.maximum(0.5 * (1.0 - c1_abs * c1_abs), 0.0)
 
 
-def c3_limit_abs(c1_abs: float, c2_abs: float) -> float:
-    """Radius available to c3 once |c1| and |c2| are fixed (clamped at zero)."""
-    raw = (1.0 - c1_abs * c1_abs - 4.0 * c2_abs * c2_abs / (1.0 + c1_abs)) / 3.0
-    return raw if raw > 0.0 else 0.0
+def c3_limit_abs(c1_abs, c2_abs):
+    """Radius available to c3 once |c1| and |c2| are fixed (clamped at zero); elementwise."""
+    return np.maximum((1.0 - c1_abs * c1_abs - 4.0 * c2_abs * c2_abs / (1.0 + c1_abs)) / 3.0, 0.0)
 
 
 def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
@@ -137,34 +144,36 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     return FeasibilityCheck(all(m >= -FEASIBILITY_TOL for m in margins), margins)
 
 
-def project_coefficients(
-    c1: complex, c2: complex, c3: complex
-) -> tuple[complex, complex, complex]:
-    """Radially shrink (c1, c2, c3), in that order, onto the region.
+def shrink_to_radius(c, radius):
+    """Elementwise radial shrink of complex c onto |c| <= radius; returns (c, |c|).
+
+    An entry whose modulus np.hypot(re, im) strictly exceeds the radius has
+    both parts multiplied by radius / modulus (phase kept) and reports the
+    radius as its modulus; every other entry comes back bit for bit.
+    """
+    re, im = np.real(c), np.imag(c)
+    m = np.hypot(re, im)
+    over = m > radius
+    s = np.divide(radius, m, out=np.ones(np.shape(m)), where=over)
+    out = np.empty(np.shape(m), dtype=complex)
+    np.multiply(re, s, out=out.real)
+    np.multiply(im, s, out=out.imag)
+    return out, np.where(over, radius, m)
+
+
+def project_coefficients(c1, c2, c3):
+    """Radially shrink (c1, c2, c3), in that order, onto the region; elementwise.
 
     The package's one projection, behind project_feasible and the search's
-    repair.  An entry whose modulus math.hypot(re, im) strictly exceeds its
-    bound is rescaled onto the bound, phase kept, and the bound then stands
-    in for its modulus in the later bounds, so once c1 reaches the unit
-    circle the tail is exactly zero at every phase.  No slack: a rescaled
-    entry may land an ulp above its bound, inside FEASIBILITY_TOL.
+    pull-back of every proposal.  Each entry goes through shrink_to_radius with
+    its bound, and a shrunk entry's bound then stands in for its modulus in
+    the later bounds, so once c1 reaches the unit circle the tail is exactly
+    zero at every phase.  No slack: a rescaled entry may land an ulp above
+    its bound, inside FEASIBILITY_TOL.
     """
-    m1 = math.hypot(c1.real, c1.imag)
-    if m1 > 1.0:
-        s = 1.0 / m1
-        c1 = complex(c1.real * s, c1.imag * s)
-        m1 = 1.0
-    b2 = c2_limit_abs(m1)
-    m2 = math.hypot(c2.real, c2.imag)
-    if m2 > b2:
-        s = b2 / m2
-        c2 = complex(c2.real * s, c2.imag * s)
-        m2 = b2
-    b3 = c3_limit_abs(m1, m2)
-    m3 = math.hypot(c3.real, c3.imag)
-    if m3 > b3:
-        s = b3 / m3
-        c3 = complex(c3.real * s, c3.imag * s)
+    c1, m1 = shrink_to_radius(c1, 1.0)
+    c2, m2 = shrink_to_radius(c2, c2_limit_abs(m1))
+    c3, _ = shrink_to_radius(c3, c3_limit_abs(m1, m2))
     return c1, c2, c3
 
 
@@ -335,7 +344,8 @@ def named_evaluator(name: str) -> Callable[[complex], complex]:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Largest sampled defect |(z/f)^2 f'(z) - 1| and where it occurred."""
+    """Largest sampled defect |(z/f)^2 f'(z) - 1| and the first sample, in
+    grid order, that ties it to ARGMAX_TIE_TOL."""
 
     max_defect: float
     argmax: complex
@@ -356,6 +366,10 @@ def membership_max_defect(
     evidence only; a value above 1 at any sample is a concrete
     non-membership witness.
 
+    The argmax is the first sample in grid order (radius order, then k)
+    whose defect ties the maximum to ARGMAX_TIE_TOL, so it does not move
+    with the rounding of a flat defect.
+
     Raises ValueError if more than MEMBERSHIP_SAMPLE_CAP samples are asked
     for in total, and EvaluationFailure if f fails or vanishes at a sample
     or the defect is non-finite there.
@@ -373,12 +387,14 @@ def membership_max_defect(
             f"{MEMBERSHIP_SAMPLE_CAP} samples"
         )
 
-    best = -1.0
-    where = 0j
+    points: list[complex] = []
+    defects: list[float] = []
+    tau = 2.0 * math.pi
     for r in radii:
         h = FD_STEP_SCALE * r
+        two_h = 2.0 * h
         for k in range(samples_per_circle):
-            theta = 2.0 * math.pi * k / samples_per_circle
+            theta = tau * k / samples_per_circle
             z = complex(r * math.cos(theta), r * math.sin(theta))
             try:
                 g = z / evaluator(z)
@@ -387,10 +403,12 @@ def membership_max_defect(
             except (ZeroDivisionError, OverflowError, ValueError) as exc:
                 # f vanishes, or a pole or log branch point sits on the grid
                 raise EvaluationFailure(f"evaluator failed near z = {z}: {exc}") from exc
-            defect = abs(g - z * (gp - gm) / (2.0 * h) - 1.0)
+            defect = abs(g - z * (gp - gm) / two_h - 1.0)
             if not math.isfinite(defect):
                 raise EvaluationFailure(f"non-finite defect at z = {z}")
-            if defect > best:
-                best = defect
-                where = z
+            points.append(z)
+            defects.append(defect)
+    best = max(defects)
+    floor = best - ARGMAX_TIE_TOL * max(1.0, best)
+    where = next(z for z, defect in zip(points, defects) if defect >= floor)
     return DefectReport(max_defect=best, argmax=where)

@@ -9,24 +9,41 @@ admits windows no class member can produce (for example a2 = 2, c1 = 1 gives
 values.  Everything found here is still relaxation evidence, not a
 membership proof.
 
-A search point is the list [a2, c1, c2, c3] of complex parameters.  Each
-restart is one coordinate pattern search with a fixed schedule: the step
-starts at STEP_INIT and halves after every sweep without an acceptance, until
-it drops below STEP_MIN or the restart's proposal budget is spent.  Each
-proposal moves one real or imaginary part, is pulled back by the |a2| clamp
-and class_u.project_coefficients (the package's one projection), and is
-scored only if _capped_quintet (the one cap check, shared with the sampler
-and the start check) accepts it.
+A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
+re c1, ..., im c3].  Each restart is one chain of coordinate pattern search
+with first-improvement acceptance and a fixed schedule.  A sweep tries +step
+and then -step on each float in turn (zero mode skips a2's two floats); the
+first move that strictly raises the value is taken, and the sweep goes on
+with the next float from the new point.  The step starts at STEP_INIT and
+halves after every sweep without an acceptance, until it drops below
+STEP_MIN or the chain's proposal budget is spent.  Each proposal is pulled
+back by the |a2| clamp and class_u.project_coefficients (the package's one
+projection), and is scored only if _within_caps (the one cap check, shared
+with the sampler and the start check) accepts it.
+
+The chains of a campaign run in lockstep, their state (point, value, step,
+position in the sweep, improved flag, evaluation count) held in numpy
+arrays.  Each iteration scores, in one vectorised pass, every move of each
+live chain's sweep from that chain's current point; each chain then takes
+the first improving move at or after its position, which is the move the
+sequential loop would take.  Moves before the position or after the taken
+one are speculative: they are computed but never charged.  A chain is
+charged for the moves up to and including the taken one, and for no more
+than budget + 1 evaluations in all, so evaluations_used counts what the
+sequential loop evaluates.  A campaign takes as many iterations as its
+longest chain has acceptances plus sweeps.
 
 A campaign evaluates at most restarts * (refine_budget + 1) points over its
 sampled restarts (each scores its start and then up to refine_budget
 proposals); that product may not exceed EVAL_CAP.
 
-Determinism contract: restart k draws from an RNG stream derived only from
-(seed, k), acceptance inside a restart is sequential and tie-free, and the
-cross-restart reduction (max value, then lowest restart index) is order
-independent, so results are bit-identical no matter how restarts are
-scheduled.
+Determinism contract: restart k draws its start from an RNG stream derived
+only from (seed, k); every array operation of the engine is elementwise, so
+a chain's result does not depend on which chains share its arrays (refine
+runs the same engine on one chain and returns the campaign's value for that
+start); and the cross-restart reduction (max value, then lowest restart
+index) is order independent.  Results are therefore bit-identical across
+reruns, restart counts and block sizes.
 """
 
 from __future__ import annotations
@@ -50,6 +67,7 @@ from .class_u import (
     coefficient_quintet,
     project_coefficients,
     schwarz_feasible,
+    shrink_to_radius,
     u_coefficients,
 )
 from .functionals import DeterminantId, closed_form, closed_form_function
@@ -121,14 +139,13 @@ class SearchResult:
     evaluations_used: int
 
 
-def _capped_quintet(
-    a2: complex, c1: complex, c2: complex, c3: complex
-) -> tuple[complex, complex, complex] | None:
-    """(a3, a4, a5) of the point, or None when one of them breaks its class cap."""
-    a3, a4, a5 = coefficient_quintet(a2, c1, c2, c3)
-    if abs(a3) > _CAP3 or abs(a4) > _CAP4 or abs(a5) > _CAP5:
-        return None
-    return a3, a4, a5
+def _within_caps(a3, a4, a5):
+    """Whether (a3, a4, a5) respects the class coefficient caps; elementwise.
+
+    The one cap check: the sampler and the start check call it on complex
+    numbers, the search kernel on arrays of proposals.
+    """
+    return (abs(a3) <= _CAP3) & (abs(a4) <= _CAP4) & (abs(a5) <= _CAP5)
 
 
 def _draw_disc(rng: np.random.Generator, radius: float) -> complex:
@@ -153,27 +170,117 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
         c1 = _draw_disc(rng, 1.0)
         c2 = _draw_disc(rng, c2_limit_abs(abs(c1)))
         c3 = _draw_disc(rng, c3_limit_abs(abs(c1), abs(c2)))
-        if _capped_quintet(a2, c1, c2, c3) is not None:
+        if _within_caps(*coefficient_quintet(a2, c1, c2, c3)):
             return UParamPoint(a2, SchwarzParams(c1, c2, c3))
     raise RuntimeError("sampler failed to find a cap-respecting point")  # pragma: no cover
 
 
-def _repair(y: list[complex], free: bool) -> None:
-    """Pull a proposal [a2, c1, c2, c3] back into the region: the |a2| <= 2
-    clamp (free mode only) and class_u.project_coefficients.  Mutates y.
+def _sweep(first: int) -> np.ndarray:
+    """The moves of one sweep in the order they are tried, as rows that,
+    scaled by the step, are added to a point's 8 floats: +1 and then -1 in
+    float `first`, then in each later float.  Every other entry is -0.0, and
+    x + -0.0 is x bit for bit, so a move changes exactly one float.
     """
+    moves = np.full((2 * (8 - first), 8), -0.0)
+    for j in range(len(moves)):
+        moves[j, first + j // 2] = -1.0 if j % 2 else 1.0
+    return moves
+
+
+#: The sweep of each a2 mode: zero mode leaves out a2's four moves.
+_SWEEPS = {"free": _sweep(0), "zero": _sweep(2)}
+
+#: Most chains one lockstep block holds, which bounds a campaign's arrays
+#: however many restarts it has; a chain's result does not depend on its block.
+_BLOCK = 256
+
+
+def _pull_back(x: np.ndarray, free: bool) -> None:
+    """Pull proposals (rows of 8 floats) back into the region, in place: the
+    |a2| <= 2 clamp (free mode only), then class_u.project_coefficients.
+    """
+    z = x.view(complex)
     if free:
-        a2 = y[0]
-        m = math.hypot(a2.real, a2.imag)
-        if m > A2_RADIUS:
-            s = A2_RADIUS / m
-            y[0] = complex(a2.real * s, a2.imag * s)
-    y[1], y[2], y[3] = project_coefficients(y[1], y[2], y[3])
+        z[..., 0] = shrink_to_radius(z[..., 0], A2_RADIUS)[0]
+    z[..., 1], z[..., 2], z[..., 3] = project_coefficients(z[..., 1], z[..., 2], z[..., 3])
 
 
-#: (coordinate, axis) of each move: the real (0) and then the imaginary (1)
-#: axis of a2, c1, c2, c3.  Zero mode skips a2's two moves.
-_MOVES = tuple((i, axis) for i in range(4) for axis in (0, 1))
+def _values(x: np.ndarray, fn) -> np.ndarray:
+    """|fn| at each point (rows of 8 floats); -1.0, which is never accepted,
+    where the point breaks a class coefficient cap.
+    """
+    z = x.view(complex)
+    a2 = z[..., 0]
+    a3, a4, a5 = coefficient_quintet(a2, z[..., 1], z[..., 2], z[..., 3])
+    return np.where(_within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
+
+
+def _check_start(objective: Objective, start: UParamPoint) -> None:
+    p = start.schwarz
+    if not schwarz_feasible(p).feasible:
+        raise InfeasibleStart(f"start violates the region inequalities: {p}")
+    if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
+        raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
+    if not _within_caps(*coefficient_quintet(start.a2, p.c1, p.c2, p.c3)):
+        raise InfeasibleStart("start violates a class coefficient cap")
+
+
+def _point(row: np.ndarray) -> UParamPoint:
+    a2, c1, c2, c3 = (complex(v) for v in row.view(complex))
+    return UParamPoint(a2, SchwarzParams(c1, c2, c3))
+
+
+def _climb(
+    objective: Objective, starts: list[UParamPoint], budget: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one chain from each start, all in lockstep (see the module
+    docstring); returns each chain's final point (rows of 8 floats), value
+    and evaluation count (start included).
+    """
+    for start in starts:
+        _check_start(objective, start)
+    fn = closed_form_function(objective.det)
+    free = objective.a2_mode == "free"
+    sweep = _SWEEPS[objective.a2_mode]
+    width = len(sweep)
+    cols = np.arange(width)
+    x = np.array([(s.a2, s.schwarz.c1, s.schwarz.c2, s.schwarz.c3) for s in starts],
+                 dtype=complex).view(float)
+    fx = _values(x, fn)
+    evals = np.ones(len(starts), dtype=np.int64)
+    ids = np.flatnonzero(evals <= budget)  # the live chains: ids[i] started row i
+    px, pf, pe = x[ids], fx[ids], evals[ids]
+    step = np.full(len(ids), STEP_INIT)
+    pos = np.zeros(len(ids), dtype=np.int64)
+    improved = np.zeros(len(ids), dtype=bool)
+    while len(ids):
+        cand = px[:, None, :] + step[:, None, None] * sweep
+        _pull_back(cand, free)
+        val = _values(cand, fn)
+        left = budget + 1 - pe  # evaluations the chain may still make, >= 1
+        better = (cols >= pos[:, None]) & (cols < (pos + left)[:, None]) & (val > pf[:, None])
+        hit = better.any(axis=1)
+        first = better.argmax(axis=1)
+        took = np.flatnonzero(hit)
+        px[took] = cand[took, first[took]]
+        pf[took] = val[took, first[took]]
+        pe += np.where(hit, first + 1 - pos, np.minimum(width - pos, left))
+        improved |= hit
+        # after a move is taken the sweep goes on with the next coordinate
+        pos = np.where(hit, first // 2 * 2 + 2, width)
+        end = pos == width
+        step = np.where(end & ~improved, 0.5 * step, step)
+        pos[end] = 0
+        improved[end] = False
+        done = (step < STEP_MIN) | (pe > budget)
+        if done.any():
+            out = ids[done]
+            x[out], fx[out], evals[out] = px[done], pf[done], pe[done]
+            keep = ~done
+            ids, px, pf, pe, step, pos, improved = (
+                v[keep] for v in (ids, px, pf, pe, step, pos, improved)
+            )
+    return x, fx, evals
 
 
 def refine(
@@ -181,67 +288,12 @@ def refine(
 ) -> tuple[UParamPoint, float]:
     """Climb from a feasible start; returns (point, value), value >= start value.
 
-    With budget 0 the start is simply evaluated and returned.
+    A one-chain run of the campaign engine, so it returns what a campaign
+    reports for a restart with this start.  With budget 0 the start is simply
+    evaluated and returned.
     """
-    pt, val, _ = _refine_counted(objective, start, budget)
-    return pt, val
-
-
-def _refine_counted(
-    objective: Objective, start: UParamPoint, budget: int
-) -> tuple[UParamPoint, float, int]:
-    """One restart: coordinate pattern search with strict-increase acceptance.
-
-    Tries +-step along each live move of the state [a2, c1, c2, c3]
-    (repairing each proposal first), halves the step after any full sweep
-    without an acceptance, and stops below STEP_MIN or once `budget`
-    proposals have been scored.  Returns the final point, its value, and the
-    evaluation count (start included).
-    """
-    p = start.schwarz
-    if not schwarz_feasible(p).feasible:
-        raise InfeasibleStart(f"start violates the region inequalities: {p}")
-    if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
-        raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
-    if _capped_quintet(start.a2, p.c1, p.c2, p.c3) is None:
-        raise InfeasibleStart("start violates a class coefficient cap")
-    fn = closed_form_function(objective.det)
-
-    def value(y: list[complex]) -> float:
-        # -1.0 marks a cap-rejected point, which is never accepted
-        quintet = _capped_quintet(*y)
-        return -1.0 if quintet is None else abs(fn(y[0], *quintet))
-
-    free = objective.a2_mode == "free"
-    moves = _MOVES if free else _MOVES[2:]
-    y = [start.a2, p.c1, p.c2, p.c3]
-    fx = value(y)
-    evals = 1  # the start, then one per proposal
-    step = STEP_INIT
-    while step >= STEP_MIN and evals <= budget:
-        improved = False
-        # The untouched part of each delta is -0.0, and x + -0.0 is x bit for
-        # bit (signed zeros included), so a move changes exactly one float.
-        deltas = (
-            (complex(step, -0.0), complex(-step, -0.0)),
-            (complex(-0.0, step), complex(-0.0, -step)),
-        )
-        for i, axis in moves:
-            for delta in deltas[axis]:
-                if evals > budget:
-                    break
-                cand = list(y)
-                cand[i] += delta
-                _repair(cand, free)
-                fy = value(cand)
-                evals += 1
-                if fy > fx:
-                    y, fx = cand, fy
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-    return UParamPoint(y[0], SchwarzParams(*y[1:])), fx, evals
+    x, fx, _ = _climb(objective, [start], budget)
+    return _point(x[0]), float(fx[0])
 
 
 def _catalog_entries(objective: Objective):
@@ -279,22 +331,26 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
             f"restarts * (refine_budget + 1) = {evals} exceeds the evaluation cap {EVAL_CAP}"
         )
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
-    best_val = -1.0
-    best_pt: UParamPoint | None = None
+    witnesses = witness_starts(objective)
+
+    def start(k: int) -> UParamPoint:
+        if k < 0:
+            return witnesses[k][1]  # witness j runs as k = j - W
+        return sample_point(np.random.default_rng(np.random.SeedSequence([seed, k])),
+                            objective.a2_mode)
+
+    indices = range(-len(witnesses), config.restarts)
+    best_val = -math.inf
     per: list[tuple[int, float]] = []
     total = 0
-    witnesses = witness_starts(objective)
-    for k in range(-len(witnesses), config.restarts):
-        if k < 0:
-            start = witnesses[k][1]  # witness j runs as k = j - W
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-            start = sample_point(rng, objective.a2_mode)
-        pt, val, used = _refine_counted(objective, start, config.refine_budget)
-        total += used
-        per.append((k, val))
-        if val > best_val:
-            best_val, best_pt = val, pt
+    for lo in range(0, len(indices), _BLOCK):
+        block = indices[lo:lo + _BLOCK]
+        x, fx, used = _climb(objective, [start(k) for k in block], config.refine_budget)
+        total += int(used.sum())
+        per.extend(zip(block, fx.tolist()))
+        i = int(np.argmax(fx))  # the first maximum: ties keep the lowest index
+        if fx[i] > best_val:
+            best_val, best_pt = float(fx[i]), _point(x[i])
 
     window = u_coefficients(best_pt, 5)
     official = abs(closed_form(window, objective.det))

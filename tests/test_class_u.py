@@ -245,6 +245,13 @@ class TestMembership:
         assert rep.max_defect == pytest.approx(r * r, rel=1e-8)
         assert rep.max_defect < 1
 
+    def test_argmax_is_first_tie_in_grid_order(self):
+        # f2's defect |z|^2 is flat on each circle, so rounding noise must not
+        # pick the sample: the first sample of the outer circle wins
+        rep = membership_max_defect(catalog("f2").evaluator, (0.9, 0.99))
+        assert rep.argmax == 0.99 + 0j
+        assert rep.max_defect == pytest.approx(0.9801, rel=1e-8)
+
     def test_specimen_flagged_with_witness(self):
         rep = membership_max_defect(named_evaluator("z+2z3"), (0.7,), 256)
         assert rep.max_defect > 1

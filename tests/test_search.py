@@ -11,7 +11,7 @@ import pytest
 
 import coefflab.search as search
 from coefflab.class_u import CrossCheckFailed, SchwarzParams, UParamPoint, schwarz_feasible
-from coefflab.functionals import DeterminantId, UnsupportedId
+from coefflab.functionals import DeterminantId, UnsupportedId, closed_form_function
 from coefflab.search import (
     DOCUMENTED_SEEDS,
     InfeasibleStart,
@@ -27,6 +27,50 @@ from coefflab.search import (
 
 T22 = Objective(DeterminantId.parse("T2,2"))
 F1_POINT = UParamPoint(2j, SchwarzParams(1, 0, 0))
+T33 = Objective(DeterminantId.parse("T3,3"))
+
+
+def sequential_climb(objective, start, budget):
+    """One restart as a plain first-improvement loop: the oracle the lockstep
+    engine is checked against.
+
+    It scores one proposal at a time, on length-1 arrays, through the
+    package's pull-back (the |a2| clamp and the projection) and value kernel,
+    and returns (point as 8 floats, value, evaluations with the start).
+    """
+    fn = closed_form_function(objective.det)
+    free = objective.a2_mode == "free"
+    p = start.schwarz
+    y = np.array([[start.a2, p.c1, p.c2, p.c3]], dtype=complex).view(float)
+    fy = search._values(y, fn)[0]
+    evals = 1
+    step = search.STEP_INIT
+    while step >= search.STEP_MIN and evals <= budget:
+        improved = False
+        for slot in range(0 if free else 2, 8):
+            for sign in (1.0, -1.0):
+                if evals > budget:
+                    break
+                cand = y.copy()
+                cand[0, slot] += sign * step
+                search._pull_back(cand, free)
+                fc = search._values(cand, fn)[0]
+                evals += 1
+                if fc > fy:
+                    y, fy, improved = cand, fc, True
+                    break
+        if not improved:
+            step *= 0.5
+    return y[0], fy, evals
+
+
+def campaign_starts(objective, config):
+    """The starts of a campaign's chains, in restart-index order."""
+    starts = [pt for _, pt in witness_starts(objective)]
+    for k in range(config.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, k]))
+        starts.append(sample_point(rng, objective.a2_mode))
+    return starts
 
 
 class TestObjective:
@@ -243,3 +287,62 @@ class TestCampaign:
         for label in DOCUMENTED_SEEDS:
             det_text, mode = label.split("|")
             Objective(DeterminantId.parse(det_text), mode)  # must not raise
+
+
+class TestLockstepEngine:
+    """The lockstep engine against the sequential oracle, and the determinism
+    contract of the search docstring."""
+
+    # 0 and 1 stop before or inside the first sweep; 11/12/15/16/17 bracket
+    # the 12-move (zero mode) and 16-move (free mode) sweeps; at 500 some
+    # chains run out of budget and others finish their step schedule first.
+    BUDGETS = (0, 1, 11, 12, 15, 16, 17, 500)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("label", ["T3,3|free", "T3,2|zero"])
+    def test_matches_sequential_oracle(self, label, budget):
+        det, mode = label.split("|")
+        objective = Objective(DeterminantId.parse(det), mode)
+        config = SearchConfig(seed=5, restarts=4, refine_budget=budget)
+        res = campaign(objective, config)
+        runs = [sequential_climb(objective, s, budget)
+                for s in campaign_starts(objective, config)]
+        assert [v for _, v in res.per_restart] == [fy for _, fy, _ in runs]
+        assert res.evaluations_used == sum(evals for _, _, evals in runs)
+        x, fx, evals = search._climb(objective, campaign_starts(objective, config), budget)
+        assert x.tobytes() == np.array([y for y, _, _ in runs]).tobytes()
+        assert evals.tolist() == [e for _, _, e in runs]
+
+    def test_pull_back_clamps_a2_in_free_mode_only(self):
+        x = np.array([[2.5j, 1.5, 0.5, 0.25]], dtype=complex).view(float)
+        zero = x.copy()
+        search._pull_back(x, True)
+        assert x.view(complex)[0].tolist() == [2j, 1, 0, 0]
+        search._pull_back(zero, False)
+        assert zero.view(complex)[0].tolist() == [2.5j, 1, 0, 0]
+
+    def test_oracle_covers_both_stopping_rules(self):
+        # at budget 500 T3,3|free has chains cut by the budget (501
+        # evaluations) and chains that end their step schedule first
+        config = SearchConfig(seed=5, restarts=4, refine_budget=500)
+        evals = [sequential_climb(T33, s, 500)[2] for s in campaign_starts(T33, config)]
+        assert 501 in evals and min(evals) < 501
+
+    @pytest.mark.parametrize("label", ["T2,3|free", "T3,1|zero"])
+    def test_restart_results_do_not_depend_on_the_batch(self, label):
+        det, mode = label.split("|")
+        objective = Objective(DeterminantId.parse(det), mode)
+        small = campaign(objective, SearchConfig(seed=9, restarts=4, refine_budget=800))
+        large = campaign(objective, SearchConfig(seed=9, restarts=12, refine_budget=800))
+        assert large.per_restart[:len(small.per_restart)] == small.per_restart
+        starts = dict(zip((k for k, _ in large.per_restart),
+                          campaign_starts(objective, SearchConfig(seed=9, restarts=12))))
+        values = dict(large.per_restart)
+        for k in (-1, 0, 7, 11):
+            assert refine(objective, starts[k], 800)[1] == values[k]
+
+    def test_blocking_does_not_change_results(self, monkeypatch):
+        config = SearchConfig(seed=3, restarts=9, refine_budget=300)
+        whole = campaign(T22, config)
+        monkeypatch.setattr(search, "_BLOCK", 4)
+        assert campaign(T22, config) == whole
