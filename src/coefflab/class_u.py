@@ -14,16 +14,21 @@ coefficient map used throughout:
     a4 = c2 + 2 a2 c1 + a2^3
     a5 = c3 + 2 a2 c2 + c1^2 + 3 a2^2 c1 + a2^4
 
-The admissible leading triple (c1, c2, c3) is constrained by the necessary
-conditions
+The search region is the point set (a2, c1, c2, c3) with |a2| <= 2 and the
+necessary conditions
 
     |c1| <= 1
     |c2| <= (1 - |c1|^2) / 2
     |c3| <= (1 - |c1|^2 - 4 |c2|^2 / (1 + |c1|)) / 3
 
-which carve out the search region used elsewhere.  These conditions are
-necessary, not sufficient, so the region is a relaxation of the true class:
-suprema computed over it are upper evidence, never membership proofs.
+intersected with the class coefficient caps |a3| <= 3, |a4| <= 4, |a5| <= 5
+from the ledger.  The caps matter: without them the region admits windows no
+class member can produce (for example a2 = 2, c1 = 1 gives |a3| = 5), and
+suprema searched over it would drift above the published sharp values.
+pull_back is the one projection onto the first part, within_caps the one
+check of the second.  These conditions are necessary, not sufficient, so the
+region is a relaxation of the true class: suprema computed over it are upper
+evidence, never membership proofs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .bound_calculus import constant
 from .functionals import CoefficientWindow
 from .series import TruncatedSeries, series_reciprocal
 
@@ -46,6 +52,9 @@ MAP_AGREEMENT_TOL = 1e-10
 
 #: Radius cap for the second coefficient.
 A2_RADIUS = 2.0
+
+#: Class coefficient caps on |a3|, |a4|, |a5| from the ledger, with the feasibility slack.
+_CAP3, _CAP4, _CAP5 = (constant(f"U.a{k}max").value + FEASIBILITY_TOL for k in (3, 4, 5))
 
 #: Relative step used for central finite differences in the defect check.
 FD_STEP_SCALE = 1e-6
@@ -147,45 +156,53 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
 def shrink_to_radius(c, radius):
     """Elementwise radial shrink of complex c onto |c| <= radius; returns (c, |c|).
 
-    An entry whose modulus np.hypot(re, im) strictly exceeds the radius has
-    both parts multiplied by radius / modulus (phase kept) and reports the
-    radius as its modulus; every other entry comes back bit for bit.
+    An entry whose modulus np.hypot(re, im) strictly exceeds the radius is
+    multiplied by radius / modulus (phase kept) and reports the radius as its
+    modulus; every other entry keeps its value (a zero part may change sign).
     """
-    re, im = np.real(c), np.imag(c)
-    m = np.hypot(re, im)
-    over = m > radius
-    s = np.divide(radius, m, out=np.ones(np.shape(m)), where=over)
-    out = np.empty(np.shape(m), dtype=complex)
-    np.multiply(re, s, out=out.real)
-    np.multiply(im, s, out=out.imag)
-    return out, np.where(over, radius, m)
+    m = np.hypot(np.real(c), np.imag(c))
+    s = np.divide(radius, m, out=np.ones(np.shape(m)), where=m > radius)
+    return c * s, np.minimum(m, radius)
 
 
-def project_coefficients(c1, c2, c3):
-    """Radially shrink (c1, c2, c3), in that order, onto the region; elementwise.
+def pull_back(z: np.ndarray) -> None:
+    """Pull points, complex rows [a2, c1, c2, c3], into the region in place; elementwise.
 
     The package's one projection, behind project_feasible and the search's
-    pull-back of every proposal.  Each entry goes through shrink_to_radius with
-    its bound, and a shrunk entry's bound then stands in for its modulus in
-    the later bounds, so once c1 reaches the unit circle the tail is exactly
-    zero at every phase.  No slack: a rescaled entry may land an ulp above
-    its bound, inside FEASIBILITY_TOL.
+    pull-back of every proposal.  a2 is shrunk onto |a2| <= A2_RADIUS (a no-op,
+    bit for bit, when a2 = 0), then c1, c2 and c3 in that order onto their
+    bounds, and a shrunk entry's bound stands in for its modulus in the later
+    bounds, so once c1 reaches the unit circle the tail is exactly zero at
+    every phase.  No slack: a rescaled entry may land an ulp above its bound,
+    inside FEASIBILITY_TOL.  The caps are not projected onto; within_caps
+    checks them.
     """
-    c1, m1 = shrink_to_radius(c1, 1.0)
-    c2, m2 = shrink_to_radius(c2, c2_limit_abs(m1))
-    c3, _ = shrink_to_radius(c3, c3_limit_abs(m1, m2))
-    return c1, c2, c3
+    z[..., 0] = shrink_to_radius(z[..., 0], A2_RADIUS)[0]
+    z[..., 1], m1 = shrink_to_radius(z[..., 1], 1.0)
+    z[..., 2], m2 = shrink_to_radius(z[..., 2], c2_limit_abs(m1))
+    z[..., 3] = shrink_to_radius(z[..., 3], c3_limit_abs(m1, m2))[0]
 
 
 def project_feasible(p: SchwarzParams) -> SchwarzParams:
-    """Feasible input unchanged, anything else through project_coefficients.
+    """Feasible input unchanged, anything else through pull_back with a2 = 0.
 
     The early return on schwarz_feasible makes the map idempotent even where
     a strict shrink lands an ulp above a bound.
     """
     if schwarz_feasible(p).feasible:
         return p
-    return SchwarzParams(*project_coefficients(p.c1, p.c2, p.c3))
+    z = np.array([0, p.c1, p.c2, p.c3], dtype=complex)
+    pull_back(z)
+    return SchwarzParams(*z[1:])
+
+
+def within_caps(a3, a4, a5):
+    """Whether (a3, a4, a5) respects the class coefficient caps; elementwise.
+
+    The one cap check: the sampler and the search's start check call it on
+    complex numbers, the search kernel on arrays of proposals.
+    """
+    return (abs(a3) <= _CAP3) & (abs(a4) <= _CAP4) & (abs(a5) <= _CAP5)
 
 
 def coefficient_quintet(
@@ -280,16 +297,14 @@ class CatalogEntry:
     evaluator: Callable[[complex], complex]
     window: CoefficientWindow
     param: UParamPoint
-    description: str = ""
 
 
-def _entry(name, evaluator, window, a2, c, description) -> CatalogEntry:
+def _entry(name, evaluator, window, a2, c) -> CatalogEntry:
     return CatalogEntry(
         name=name,
         evaluator=evaluator,
         window=CoefficientWindow(tuple(window)),
         param=UParamPoint(a2, SchwarzParams(*c)),
-        description=description,
     )
 
 
@@ -301,20 +316,13 @@ _F4_A5 = 0.5 + _F4_C3
 _CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in (
-        _entry("identity", lambda z: z, (1, 0, 0, 0, 0), 0, (0, 0, 0), "f(z) = z"),
-        _entry("f1", _f1, (1, 2j, -3, -4j, 5), 2j, (1, 0, 0), "z / (1 - iz)^2"),
-        _entry("f2", _f2, (1, 0, 1, 0, 1), 0, (1, 0, 0), "z / (1 - z^2)"),
-        _entry("f3", _f3, (1, 0, 1j, 0, -1), 0, (1j, 0, 0), "z / (1 - i z^2)"),
-        _entry(
-            "f4",
-            _f4,
-            (1, 0, _ALPHA, 0.25, _F4_A5),
-            0,
-            (_ALPHA, 0.25, _F4_C3),
-            "z/f = 1 - z * (sqrt2 z - log(1 + z/sqrt2)); extremal third "
-            "region inequality holds with equality",
-        ),
-        _entry("koebe", _koebe, (1, 2, 3, 4, 5), 2, (-1, 0, 0), "z / (1 - z)^2"),
+        _entry("identity", lambda z: z, (1, 0, 0, 0, 0), 0, (0, 0, 0)),
+        _entry("f1", _f1, (1, 2j, -3, -4j, 5), 2j, (1, 0, 0)),
+        _entry("f2", _f2, (1, 0, 1, 0, 1), 0, (1, 0, 0)),
+        _entry("f3", _f3, (1, 0, 1j, 0, -1), 0, (1j, 0, 0)),
+        # the third region inequality holds with equality at f4's parameters
+        _entry("f4", _f4, (1, 0, _ALPHA, 0.25, _F4_A5), 0, (_ALPHA, 0.25, _F4_C3)),
+        _entry("koebe", _koebe, (1, 2, 3, 4, 5), 2, (-1, 0, 0)),
     )
 }
 

@@ -1,12 +1,6 @@
 """Seeded multi-start maximization of determinant moduli over the parameter
-region.
-
-The region searched is the necessary-conditions box (|a2| <= 2 plus the three
-c-inequalities) intersected with the class coefficient caps |a3| <= 3,
-|a4| <= 4, |a5| <= 5 from the ledger.  The caps matter: without them the box
-admits windows no class member can produce (for example a2 = 2, c1 = 1 gives
-|a3| = 5) and the searched suprema would drift above the published sharp
-values.  Everything found here is still relaxation evidence, not a
+region of class_u (the Schwarz-parameter inequalities and the class
+coefficient caps).  Everything found here is relaxation evidence, not a
 membership proof.
 
 A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
@@ -17,9 +11,9 @@ first move that strictly raises the value is taken, and the sweep goes on
 with the next float from the new point.  The step starts at STEP_INIT and
 halves after every sweep without an acceptance, until it drops below
 STEP_MIN or the chain's proposal budget is spent.  Each proposal is pulled
-back by the |a2| clamp and class_u.project_coefficients (the package's one
-projection), and is scored only if _within_caps (the one cap check, shared
-with the sampler and the start check) accepts it.
+back into the region by class_u.pull_back (the package's one projection),
+and is scored only if class_u.within_caps (the one cap check, shared with
+the sampler and the start check) accepts it.
 
 The chains of a campaign run in lockstep, their state (point, value, step,
 position in the sweep, improved flag, evaluation count) held in numpy
@@ -49,6 +43,7 @@ reruns, restart counts and block sizes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +60,10 @@ from .class_u import (
     catalog,
     CATALOG_NAMES,
     coefficient_quintet,
-    project_coefficients,
+    pull_back,
     schwarz_feasible,
-    shrink_to_radius,
     u_coefficients,
+    within_caps,
 )
 from .functionals import DeterminantId, closed_form, closed_form_function
 
@@ -79,9 +74,6 @@ EVAL_CAP = 10_000_000
 #: Pattern-search schedule: the first step, halved down to the last one.
 STEP_INIT = 0.25
 STEP_MIN = 1e-7
-
-#: Class coefficient caps on |a3|, |a4|, |a5| from the ledger, with the feasibility slack.
-_CAP3, _CAP4, _CAP5 = (constant(f"U.a{k}max").value + FEASIBILITY_TOL for k in (3, 4, 5))
 
 A2_MODES = ("free", "zero")
 
@@ -117,6 +109,17 @@ class Objective:
         return f"{self.det}|{self.a2_mode}"
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int (numpy integers too); ValueError if not one or below least."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     seed: int
@@ -124,10 +127,8 @@ class SearchConfig:
     refine_budget: int = 20_000
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.refine_budget < 0:
-            raise ValueError(f"refine_budget must be >= 0, got {self.refine_budget}")
+        for name, least in (("seed", None), ("restarts", 1), ("refine_budget", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -137,15 +138,6 @@ class SearchResult:
     best_window: tuple[complex, ...]
     per_restart: tuple[tuple[int, float], ...]
     evaluations_used: int
-
-
-def _within_caps(a3, a4, a5):
-    """Whether (a3, a4, a5) respects the class coefficient caps; elementwise.
-
-    The one cap check: the sampler and the start check call it on complex
-    numbers, the search kernel on arrays of proposals.
-    """
-    return (abs(a3) <= _CAP3) & (abs(a4) <= _CAP4) & (abs(a5) <= _CAP5)
 
 
 def _draw_disc(rng: np.random.Generator, radius: float) -> complex:
@@ -170,7 +162,7 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
         c1 = _draw_disc(rng, 1.0)
         c2 = _draw_disc(rng, c2_limit_abs(abs(c1)))
         c3 = _draw_disc(rng, c3_limit_abs(abs(c1), abs(c2)))
-        if _within_caps(*coefficient_quintet(a2, c1, c2, c3)):
+        if within_caps(*coefficient_quintet(a2, c1, c2, c3)):
             return UParamPoint(a2, SchwarzParams(c1, c2, c3))
     raise RuntimeError("sampler failed to find a cap-respecting point")  # pragma: no cover
 
@@ -195,16 +187,6 @@ _SWEEPS = {"free": _sweep(0), "zero": _sweep(2)}
 _BLOCK = 256
 
 
-def _pull_back(x: np.ndarray, free: bool) -> None:
-    """Pull proposals (rows of 8 floats) back into the region, in place: the
-    |a2| <= 2 clamp (free mode only), then class_u.project_coefficients.
-    """
-    z = x.view(complex)
-    if free:
-        z[..., 0] = shrink_to_radius(z[..., 0], A2_RADIUS)[0]
-    z[..., 1], z[..., 2], z[..., 3] = project_coefficients(z[..., 1], z[..., 2], z[..., 3])
-
-
 def _values(x: np.ndarray, fn) -> np.ndarray:
     """|fn| at each point (rows of 8 floats); -1.0, which is never accepted,
     where the point breaks a class coefficient cap.
@@ -212,7 +194,7 @@ def _values(x: np.ndarray, fn) -> np.ndarray:
     z = x.view(complex)
     a2 = z[..., 0]
     a3, a4, a5 = coefficient_quintet(a2, z[..., 1], z[..., 2], z[..., 3])
-    return np.where(_within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
+    return np.where(within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
 
 
 def _check_start(objective: Objective, start: UParamPoint) -> None:
@@ -221,7 +203,7 @@ def _check_start(objective: Objective, start: UParamPoint) -> None:
         raise InfeasibleStart(f"start violates the region inequalities: {p}")
     if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
         raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
-    if not _within_caps(*coefficient_quintet(start.a2, p.c1, p.c2, p.c3)):
+    if not within_caps(*coefficient_quintet(start.a2, p.c1, p.c2, p.c3)):
         raise InfeasibleStart("start violates a class coefficient cap")
 
 
@@ -240,7 +222,6 @@ def _climb(
     for start in starts:
         _check_start(objective, start)
     fn = closed_form_function(objective.det)
-    free = objective.a2_mode == "free"
     sweep = _SWEEPS[objective.a2_mode]
     width = len(sweep)
     cols = np.arange(width)
@@ -255,7 +236,7 @@ def _climb(
     improved = np.zeros(len(ids), dtype=bool)
     while len(ids):
         cand = px[:, None, :] + step[:, None, None] * sweep
-        _pull_back(cand, free)
+        pull_back(cand.view(complex))
         val = _values(cand, fn)
         left = budget + 1 - pe  # evaluations the chain may still make, >= 1
         better = (cols >= pos[:, None]) & (cols < (pos + left)[:, None]) & (val > pf[:, None])
@@ -290,9 +271,10 @@ def refine(
 
     A one-chain run of the campaign engine, so it returns what a campaign
     reports for a restart with this start.  With budget 0 the start is simply
-    evaluated and returned.
+    evaluated and returned; a budget that is not an integer >= 0 raises
+    ValueError.
     """
-    x, fx, _ = _climb(objective, [start], budget)
+    x, fx, _ = _climb(objective, [start], _integer("budget", budget, 0))
     return _point(x[0]), float(fx[0])
 
 

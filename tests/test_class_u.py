@@ -24,6 +24,7 @@ from coefflab.class_u import (
     membership_max_defect,
     named_evaluator,
     project_feasible,
+    pull_back,
     schwarz_feasible,
     u_coefficients,
 )
@@ -74,6 +75,12 @@ class TestProjection:
         q = project_feasible(SchwarzParams(0.5, 0.5, 0))
         assert q.c1 == 0.5 and q.c2 == pytest.approx(0.375) and q.c3 == 0
 
+    def test_shrunk_bound_stands_in_for_modulus(self):
+        # c2 shrinks onto 0.375, which leaves c3 the radius 1/8 > 0.1; the
+        # raw |c2| = 0.5 would leave it only 1/36
+        q = project_feasible(SchwarzParams(0.5, 0.5, 0.1))
+        assert q.c2 == 0.375 and q.c3 == 0.1
+
     @pytest.mark.parametrize("c1", [2, 1 + 1j, -3j], ids=["2", "1+1j", "-3j"])
     def test_collapses_tail_when_c1_hits_one(self, c1):
         # exactly zero at every phase of c1, not rounding remnants
@@ -87,6 +94,17 @@ class TestProjection:
         q = project_feasible(SchwarzParams(0.5 + 0.5j, 0.3 - 0.4j, 0))
         assert abs(q.c2) == pytest.approx(0.25)
         assert cmath.phase(q.c2) == pytest.approx(cmath.phase(0.3 - 0.4j))
+
+    def test_pull_back_clamps_a2_and_keeps_zero_a2(self):
+        # free mode: |a2| > 2 is shrunk onto the radius; zero mode: a2 = 0
+        # comes back bit for bit, infeasible tail or not
+        z = np.array([[2.5j, 1.5, 0.5, 0.25], [0, 1.5, 0.5, 0.25], [0, 0.3, 0.2j, 0.05]])
+        zero_a2 = z[1:, 0].tobytes()
+        pull_back(z)
+        assert z[0].tolist() == [2j, 1, 0, 0]
+        assert z[1:, 0].tobytes() == zero_a2
+        assert z[1].tolist() == [0, 1, 0, 0]
+        assert z[2].tolist() == [0, 0.3, 0.2j, 0.05]
 
 
 _small = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import coefflab.search as search
-from coefflab.class_u import CrossCheckFailed, SchwarzParams, UParamPoint, schwarz_feasible
+from coefflab.class_u import (
+    CrossCheckFailed,
+    SchwarzParams,
+    UParamPoint,
+    pull_back,
+    schwarz_feasible,
+)
 from coefflab.functionals import DeterminantId, UnsupportedId, closed_form_function
 from coefflab.search import (
     DOCUMENTED_SEEDS,
@@ -35,11 +41,10 @@ def sequential_climb(objective, start, budget):
     engine is checked against.
 
     It scores one proposal at a time, on length-1 arrays, through the
-    package's pull-back (the |a2| clamp and the projection) and value kernel,
-    and returns (point as 8 floats, value, evaluations with the start).
+    package's projection (class_u.pull_back) and value kernel, and returns
+    (point as 8 floats, value, evaluations with the start).
     """
     fn = closed_form_function(objective.det)
-    free = objective.a2_mode == "free"
     p = start.schwarz
     y = np.array([[start.a2, p.c1, p.c2, p.c3]], dtype=complex).view(float)
     fy = search._values(y, fn)[0]
@@ -47,13 +52,13 @@ def sequential_climb(objective, start, budget):
     step = search.STEP_INIT
     while step >= search.STEP_MIN and evals <= budget:
         improved = False
-        for slot in range(0 if free else 2, 8):
+        for slot in range(0 if objective.a2_mode == "free" else 2, 8):
             for sign in (1.0, -1.0):
                 if evals > budget:
                     break
                 cand = y.copy()
                 cand[0, slot] += sign * step
-                search._pull_back(cand, free)
+                pull_back(cand.view(complex))
                 fc = search._values(cand, fn)[0]
                 evals += 1
                 if fc > fy:
@@ -93,6 +98,8 @@ class TestConfig:
         [
             {"restarts": 0},
             {"refine_budget": -1},
+            {"refine_budget": 2.5},
+            {"restarts": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -103,6 +110,12 @@ class TestConfig:
     def test_step_schedule_is_not_a_setting(self, field):
         with pytest.raises(TypeError):
             SearchConfig(seed=1, **{field: 0.1})
+
+    def test_numpy_integer_seed_runs(self):
+        config = SearchConfig(seed=np.int64(3), restarts=2, refine_budget=10)
+        assert type(config.seed) is int
+        assert campaign(T22, config) == campaign(T22, SearchConfig(seed=3, restarts=2,
+                                                                   refine_budget=10))
 
 
 class TestSampler:
@@ -156,6 +169,11 @@ class TestRefine:
         obj = Objective(DeterminantId.parse("T2,2"), "zero")
         with pytest.raises(InfeasibleStart):
             refine(obj, UParamPoint(0.5, SchwarzParams(0, 0, 0)))
+
+    @pytest.mark.parametrize("budget", [-5, 2.5])
+    def test_bad_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be"):
+            refine(T22, F1_POINT, budget)
 
     def test_cap_violating_start(self):
         # a2 = 2, c1 = 1 gives a3 = 5, outside the class cap
@@ -283,6 +301,17 @@ class TestCampaign:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
+    def test_documented_values_hold(self):
+        # the six documented campaigns reach the sharp values to 1e-9
+        sharp = {"T2,2|free": 13, "T2,3|free": 25, "T3,1|free": 24, "T3,2|free": 84,
+                 "T3,2|zero": 0.25, "T3,3|free": 208}
+        assert sharp.keys() == DOCUMENTED_SEEDS.keys()
+        for label, seed in DOCUMENTED_SEEDS.items():
+            det_text, mode = label.split("|")
+            res = campaign(Objective(DeterminantId.parse(det_text), mode),
+                           SearchConfig(seed=seed))
+            assert abs(res.best_value - sharp[label]) <= 1e-9, label
+
     def test_documented_seed_labels_parse(self):
         for label in DOCUMENTED_SEEDS:
             det_text, mode = label.split("|")
@@ -312,14 +341,6 @@ class TestLockstepEngine:
         x, fx, evals = search._climb(objective, campaign_starts(objective, config), budget)
         assert x.tobytes() == np.array([y for y, _, _ in runs]).tobytes()
         assert evals.tolist() == [e for _, _, e in runs]
-
-    def test_pull_back_clamps_a2_in_free_mode_only(self):
-        x = np.array([[2.5j, 1.5, 0.5, 0.25]], dtype=complex).view(float)
-        zero = x.copy()
-        search._pull_back(x, True)
-        assert x.view(complex)[0].tolist() == [2j, 1, 0, 0]
-        search._pull_back(zero, False)
-        assert zero.view(complex)[0].tolist() == [2.5j, 1, 0, 0]
 
     def test_oracle_covers_both_stopping_rules(self):
         # at budget 500 T3,3|free has chains cut by the budget (501
