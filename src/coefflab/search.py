@@ -12,14 +12,17 @@ with the next float from the new point.  The step starts at STEP_INIT and
 halves after every sweep without an acceptance, until it drops below
 STEP_MIN or the chain's proposal budget is spent.  Each proposal is pulled
 back into the region by class_u.pull_back (the package's one projection),
-and is scored only if class_u.within_caps (the one cap check, shared with
-the sampler and the start check) accepts it.
+and is scored only if class_u.within_caps (the one cap check) accepts it.
+No point is checked inside the engine: refine checks its start
+(InfeasibleStart) and campaign its winner (CrossCheckFailed) against the
+region, the caps and, in zero mode, a2 == 0; campaign's own starts, catalog
+points and sampler draws, lie in the region by construction.
 
 The chains of a campaign run in lockstep, their state (point, value, step,
-position in the sweep, improved flag, evaluation count) held in numpy
-arrays.  Each iteration scores, in one vectorised pass, every move of each
-live chain's sweep from that chain's current point; each chain then takes
-the first improving move at or after its position, which is the move the
+position in the sweep, evaluation count) held in numpy arrays.  Each
+iteration scores, in one vectorised pass, every move of each live chain's
+sweep from that chain's current point; each chain then takes the first
+improving move at or after its position, which is the move the
 sequential loop would take.  Moves before the position or after the taken
 one are speculative: they are computed but never charged.  A chain is
 charged for the moves up to and including the taken one, and for no more
@@ -51,7 +54,6 @@ import numpy as np
 from .bound_calculus import THEOREM_IDS, constant, theorem_chain
 from .class_u import (
     A2_RADIUS,
-    FEASIBILITY_TOL,
     CrossCheckFailed,
     SchwarzParams,
     UParamPoint,
@@ -197,14 +199,16 @@ def _values(x: np.ndarray, fn) -> np.ndarray:
     return np.where(within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
 
 
-def _check_start(objective: Objective, start: UParamPoint) -> None:
-    p = start.schwarz
+def _outside(objective: Objective, point: UParamPoint) -> str | None:
+    """Why point lies outside the objective's search region; None if inside."""
+    p = point.schwarz
     if not schwarz_feasible(p).feasible:
-        raise InfeasibleStart(f"start violates the region inequalities: {p}")
-    if objective.a2_mode == "zero" and abs(start.a2) > FEASIBILITY_TOL:
-        raise InfeasibleStart(f"zero-mode start needs a2 = 0, got a2 = {start.a2}")
-    if not within_caps(*coefficient_quintet(start.a2, p.c1, p.c2, p.c3)):
-        raise InfeasibleStart("start violates a class coefficient cap")
+        return f"violates the region inequalities: {p}"
+    if objective.a2_mode == "zero" and point.a2 != 0:
+        return f"needs a2 = 0 in zero mode, got a2 = {point.a2}"
+    if not within_caps(*coefficient_quintet(point.a2, p.c1, p.c2, p.c3)):
+        return "violates a class coefficient cap"
+    return None
 
 
 def _point(row: np.ndarray) -> UParamPoint:
@@ -219,8 +223,6 @@ def _climb(
     docstring); returns each chain's final point (rows of 8 floats), value
     and evaluation count (start included).
     """
-    for start in starts:
-        _check_start(objective, start)
     fn = closed_form_function(objective.det)
     sweep = _SWEEPS[objective.a2_mode]
     width = len(sweep)
@@ -233,7 +235,6 @@ def _climb(
     px, pf, pe = x[ids], fx[ids], evals[ids]
     step = np.full(len(ids), STEP_INIT)
     pos = np.zeros(len(ids), dtype=np.int64)
-    improved = np.zeros(len(ids), dtype=bool)
     while len(ids):
         cand = px[:, None, :] + step[:, None, None] * sweep
         pull_back(cand.view(complex))
@@ -246,21 +247,16 @@ def _climb(
         px[took] = cand[took, first[took]]
         pf[took] = val[took, first[took]]
         pe += np.where(hit, first + 1 - pos, np.minimum(width - pos, left))
-        improved |= hit
-        # after a move is taken the sweep goes on with the next coordinate
-        pos = np.where(hit, first // 2 * 2 + 2, width)
-        end = pos == width
-        step = np.where(end & ~improved, 0.5 * step, step)
-        pos[end] = 0
-        improved[end] = False
+        # no hit ends the sweep, with no move in it iff it began at pos 0 (pos > 0
+        # follows a move); after a move it goes on with the next coordinate
+        step[~hit & (pos == 0)] *= 0.5
+        pos = np.where(hit, (first // 2 * 2 + 2) % width, 0)
         done = (step < STEP_MIN) | (pe > budget)
         if done.any():
             out = ids[done]
             x[out], fx[out], evals[out] = px[done], pf[done], pe[done]
             keep = ~done
-            ids, px, pf, pe, step, pos, improved = (
-                v[keep] for v in (ids, px, pf, pe, step, pos, improved)
-            )
+            ids, px, pf, pe, step, pos = (v[keep] for v in (ids, px, pf, pe, step, pos))
     return x, fx, evals
 
 
@@ -272,8 +268,10 @@ def refine(
     A one-chain run of the campaign engine, so it returns what a campaign
     reports for a restart with this start.  With budget 0 the start is simply
     evaluated and returned; a budget that is not an integer >= 0 raises
-    ValueError.
+    ValueError, and a start outside the region raises InfeasibleStart.
     """
+    if (why := _outside(objective, start)) is not None:
+        raise InfeasibleStart(f"start {why}")
     x, fx, _ = _climb(objective, [start], _integer("budget", budget, 0))
     return _point(x[0]), float(fx[0])
 
@@ -284,7 +282,7 @@ def _catalog_entries(objective: Objective):
     """
     for name in CATALOG_NAMES:
         entry = catalog(name)
-        if objective.a2_mode == "free" or abs(entry.param.a2) <= FEASIBILITY_TOL:
+        if objective.a2_mode == "free" or entry.param.a2 == 0:
             yield name, entry
 
 
@@ -303,9 +301,9 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     Catalog witnesses run first under negative restart indices (-W..-1), so
     sharp attainments such as the |T(2,2)| = 13 point are always in the pool;
     the cfg.restarts sampled chains follow at indices 0..restarts-1.  Ties
-    keep the lowest index.  The winner is re-evaluated through the public
-    window route as a final consistency check against the fast path; a
-    disagreement raises CrossCheckFailed.
+    keep the lowest index.  The winner is checked twice before it is
+    returned: it must lie in the search region, and its value must agree with
+    the public window route; either failure raises CrossCheckFailed.
     """
     evals = config.restarts * (config.refine_budget + 1)
     if evals > EVAL_CAP:
@@ -318,8 +316,7 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     def start(k: int) -> UParamPoint:
         if k < 0:
             return witnesses[k][1]  # witness j runs as k = j - W
-        return sample_point(np.random.default_rng(np.random.SeedSequence([seed, k])),
-                            objective.a2_mode)
+        return sample_point(np.random.default_rng([seed, k]), objective.a2_mode)
 
     indices = range(-len(witnesses), config.restarts)
     best_val = -math.inf
@@ -334,6 +331,8 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
         if fx[i] > best_val:
             best_val, best_pt = float(fx[i]), _point(x[i])
 
+    if (why := _outside(objective, best_pt)) is not None:
+        raise CrossCheckFailed(f"the winner {why}")
     window = u_coefficients(best_pt, 5)
     official = abs(closed_form(window, objective.det))
     if not abs(official - best_val) <= 1e-12:

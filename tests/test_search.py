@@ -17,8 +17,14 @@ from coefflab.class_u import (
     pull_back,
     schwarz_feasible,
 )
-from coefflab.functionals import DeterminantId, UnsupportedId, closed_form_function
+from coefflab.functionals import (
+    SUPPORTED_CLOSED_FORM_IDS,
+    DeterminantId,
+    UnsupportedId,
+    closed_form_function,
+)
 from coefflab.search import (
+    A2_MODES,
     DOCUMENTED_SEEDS,
     InfeasibleStart,
     Objective,
@@ -34,6 +40,7 @@ from coefflab.search import (
 T22 = Objective(DeterminantId.parse("T2,2"))
 F1_POINT = UParamPoint(2j, SchwarzParams(1, 0, 0))
 T33 = Objective(DeterminantId.parse("T3,3"))
+ALL_OBJECTIVES = [Objective(det, mode) for det in SUPPORTED_CLOSED_FORM_IDS for mode in A2_MODES]
 
 
 def sequential_climb(objective, start, budget):
@@ -129,18 +136,22 @@ class TestSampler:
         assert all(sample_point(rng, "zero").a2 == 0 for _ in range(50))
 
     def test_draws_feasible_and_capped(self):
-        # 10^4 draws: all pass the region inequalities, and the windows they
-        # induce respect the class coefficient caps used by the objective
+        # 10^4 draws per a2 mode: all pass the region inequalities, and the
+        # windows they induce (through the series route, not the sampler's
+        # coefficient map) respect the caps |a3| <= 3, |a4| <= 4, |a5| <= 5;
+        # campaigns run their draws unchecked, so this is what covers them
         from coefflab.class_u import u_coefficients
 
-        rng = np.random.default_rng(11)
-        max_a3 = 0.0
-        for _ in range(10_000):
-            pt = sample_point(rng, "free")
-            assert schwarz_feasible(pt.schwarz).feasible
-            assert abs(pt.a2) <= 2.0 + 1e-12
-            max_a3 = max(max_a3, abs(u_coefficients(pt, 5).coeff(3)))
-        assert max_a3 <= 3.0 + 1e-9
+        for mode in A2_MODES:
+            rng = np.random.default_rng(11)
+            top = np.zeros(3)
+            for _ in range(10_000):
+                pt = sample_point(rng, mode)
+                assert schwarz_feasible(pt.schwarz).feasible
+                assert abs(pt.a2) <= 2.0 + 1e-12 and (mode == "free" or pt.a2 == 0)
+                w = u_coefficients(pt, 5)
+                top = np.maximum(top, [abs(w.coeff(k)) for k in (3, 4, 5)])
+            assert (top <= np.array([3.0, 4.0, 5.0]) + 1e-9).all(), (mode, top)
 
 
 class TestRefine:
@@ -169,6 +180,11 @@ class TestRefine:
         obj = Objective(DeterminantId.parse("T2,2"), "zero")
         with pytest.raises(InfeasibleStart):
             refine(obj, UParamPoint(0.5, SchwarzParams(0, 0, 0)))
+        # zero mode is a2 == 0 exactly: the climb never moves a2, so a start
+        # 5e-13 off the slice would return a point off it
+        obj = Objective(DeterminantId.parse("T3,2"), "zero")
+        with pytest.raises(InfeasibleStart, match="a2 = 0"):
+            refine(obj, UParamPoint(5e-13, SchwarzParams(0.3, 0.1, 0.05)), 2000)
 
     @pytest.mark.parametrize("budget", [-5, 2.5])
     def test_bad_budget_rejected(self, budget):
@@ -190,6 +206,12 @@ class TestWitnesses:
     def test_zero_mode_filters(self):
         obj = Objective(DeterminantId.parse("T3,2"), "zero")
         assert [n for n, _ in witness_starts(obj)] == ["identity", "f2", "f3", "f4"]
+
+    @pytest.mark.parametrize("objective", ALL_OBJECTIVES, ids=lambda o: o.label)
+    def test_every_witness_passes_the_entry_check(self, objective):
+        # campaigns run their witness chains unchecked; refine checks its start
+        for _, pt in witness_starts(objective):
+            assert refine(objective, pt, 0)[0] == pt
 
     def test_catalog_witness_values(self):
         assert catalog_witness(T22) == ("f1", pytest.approx(13.0))
@@ -277,6 +299,14 @@ class TestCampaign:
         monkeypatch.setattr(search, "closed_form", lambda w, det: real(w, det) + 1.0)
         with pytest.raises(CrossCheckFailed, match="disagree"):
             campaign(T22, SearchConfig(seed=1, restarts=1, refine_budget=0))
+
+    def test_winner_outside_the_region_raises(self, monkeypatch):
+        # without the pull-back T3,2's winner reads 84.00000000007762 at a
+        # point that schwarz_feasible rejects; the exit check must catch it
+        monkeypatch.setattr(search, "pull_back", lambda z: None)
+        with pytest.raises(CrossCheckFailed, match="winner violates the region"):
+            campaign(Objective(DeterminantId.parse("T3,2")),
+                     SearchConfig(seed=1, restarts=5, refine_budget=2000))
 
     def test_winner_recheck_survives_python_O(self):
         # python -O strips assert statements; the re-check must still raise
