@@ -14,8 +14,7 @@ fraction p/q, or a decimal whose trailing "..." marks it as truncated, which
 then matches to TRUNCATED_TOL instead of EXACT_TOL.
 
 Id scheme: prefix U / S names the function class (defect class / univalent),
-a trailing 0 restricts to a2 = 0, and prefix A marks older sharp reference
-values kept for comparison only.
+and a trailing 0 restricts to a2 = 0.
 """
 
 from __future__ import annotations
@@ -67,9 +66,6 @@ _ROWS: tuple[tuple[str, float, str], ...] = (
     ),
     ("S0.H22", 1.0, "cited |H(2,2)| bound on the univalent class with a2 = 0"),
     ("S0.H23", 2.02757, "cited |H(2,3)| bound on the univalent class with a2 = 0 (truncated)"),
-    ("A.T22", 13.0, "earlier sharp |T(2,2)| value on the defect class, kept for reference"),
-    ("A.T23", 25.0, "earlier sharp |T(2,3)| value on the defect class, kept for reference"),
-    ("A.T31", 24.0, "earlier sharp |T(3,1)| value on the defect class, kept for reference"),
 )
 
 LEDGER: dict[str, LedgerConstant] = {

@@ -25,10 +25,11 @@ intersected with the class coefficient caps |a3| <= 3, |a4| <= 4, |a5| <= 5
 from the ledger.  The caps matter: without them the region admits windows no
 class member can produce (for example a2 = 2, c1 = 1 gives |a3| = 5), and
 suprema searched over it would drift above the published sharp values.
-pull_back is the one projection onto the first part, within_caps the one
-check of the second.  These conditions are necessary, not sufficient, so the
-region is a relaxation of the true class: suprema computed over it are upper
-evidence, never membership proofs.
+The region lives here alone, each bound written once: pull_back is its one
+projection, within_caps its one cap check, sample_point its one sampler and
+region_violation its one predicate in either a2 mode.  These conditions are
+necessary, not sufficient, so the region is a relaxation of the true class:
+suprema computed over it are upper evidence, never membership proofs.
 """
 
 from __future__ import annotations
@@ -50,8 +51,11 @@ FEASIBILITY_TOL = 1e-12
 #: The two coefficient routes (polynomial map vs series inversion) must agree this well.
 MAP_AGREEMENT_TOL = 1e-10
 
-#: Radius cap for the second coefficient.
-A2_RADIUS = 2.0
+#: Radii of the a2 and c1 discs, from the ledger.
+A2_RADIUS, _C1_RADIUS = constant("U.a2max").value, constant("U.c1max").value
+
+#: The a2 modes of the search region: a2 free on its disc, or pinned to 0.
+A2_MODES = ("free", "zero")
 
 #: Class coefficient caps on |a3|, |a4|, |a5| from the ledger, with the feasibility slack.
 _CAP3, _CAP4, _CAP5 = (constant(f"U.a{k}max").value + FEASIBILITY_TOL for k in (3, 4, 5))
@@ -128,28 +132,25 @@ class FeasibilityCheck:
     margins: tuple[float, float, float]
 
 
-def c2_limit_abs(c1_abs):
-    """Radius available to c2 once |c1| is fixed (clamped at zero); elementwise."""
-    return np.maximum(0.5 * (1.0 - c1_abs * c1_abs), 0.0)
+def _c2_bound(c1_abs):
+    """Bound on |c2| once |c1| is fixed, not clamped at zero; elementwise."""
+    return 0.5 * (1.0 - c1_abs * c1_abs)
 
 
-def c3_limit_abs(c1_abs, c2_abs):
-    """Radius available to c3 once |c1| and |c2| are fixed (clamped at zero); elementwise."""
-    return np.maximum((1.0 - c1_abs * c1_abs - 4.0 * c2_abs * c2_abs / (1.0 + c1_abs)) / 3.0, 0.0)
+def _c3_bound(c1_abs, c2_abs):
+    """Bound on |c3| once |c1| and |c2| are fixed, not clamped at zero; elementwise."""
+    return (1.0 - c1_abs * c1_abs - 4.0 * c2_abs * c2_abs / (1.0 + c1_abs)) / 3.0
 
 
 def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     """Check the three region inequalities with additive slack FEASIBILITY_TOL.
 
-    Margins are computed from the raw bound expressions, without clamping, so
-    an infeasible c1 shows up as a negative first margin rather than a
-    distorted later one.
+    Margins are computed from the raw bound expressions, without the clamp
+    that pull_back and sample_point apply to a radius, so an infeasible c1
+    shows up as a negative first margin rather than a distorted later one.
     """
     c1a, c2a, c3a = abs(p.c1), abs(p.c2), abs(p.c3)
-    m1 = 1.0 - c1a
-    m2 = 0.5 * (1.0 - c1a * c1a) - c2a
-    m3 = (1.0 - c1a * c1a - 4.0 * c2a * c2a / (1.0 + c1a)) / 3.0 - c3a
-    margins = (m1, m2, m3)
+    margins = (_C1_RADIUS - c1a, _c2_bound(c1a) - c2a, _c3_bound(c1a, c2a) - c3a)
     return FeasibilityCheck(all(m >= -FEASIBILITY_TOL for m in margins), margins)
 
 
@@ -178,9 +179,9 @@ def pull_back(z: np.ndarray) -> None:
     checks them.
     """
     z[..., 0] = shrink_to_radius(z[..., 0], A2_RADIUS)[0]
-    z[..., 1], m1 = shrink_to_radius(z[..., 1], 1.0)
-    z[..., 2], m2 = shrink_to_radius(z[..., 2], c2_limit_abs(m1))
-    z[..., 3] = shrink_to_radius(z[..., 3], c3_limit_abs(m1, m2))[0]
+    z[..., 1], m1 = shrink_to_radius(z[..., 1], _C1_RADIUS)
+    z[..., 2], m2 = shrink_to_radius(z[..., 2], np.maximum(_c2_bound(m1), 0.0))
+    z[..., 3] = shrink_to_radius(z[..., 3], np.maximum(_c3_bound(m1, m2), 0.0))[0]
 
 
 def project_feasible(p: SchwarzParams) -> SchwarzParams:
@@ -199,8 +200,8 @@ def project_feasible(p: SchwarzParams) -> SchwarzParams:
 def within_caps(a3, a4, a5):
     """Whether (a3, a4, a5) respects the class coefficient caps; elementwise.
 
-    The one cap check: the sampler and the search's start check call it on
-    complex numbers, the search kernel on arrays of proposals.
+    The one cap check: sample_point and region_violation call it on complex
+    numbers, the search kernel on arrays of proposals.
     """
     return (abs(a3) <= _CAP3) & (abs(a4) <= _CAP4) & (abs(a5) <= _CAP5)
 
@@ -218,6 +219,46 @@ def coefficient_quintet(
     a4 = c2 + 2.0 * a2 * c1 + a22 * a2
     a5 = c3 + 2.0 * a2 * c2 + c1 * c1 + 3.0 * a22 * c1 + a22 * a22
     return a3, a4, a5
+
+
+def _draw_disc(rng: np.random.Generator, radius: float) -> complex:
+    # Area-uniform: radius scaled by sqrt of a uniform draw.
+    r = radius * math.sqrt(rng.random())
+    theta = 2.0 * math.pi * rng.random()
+    return complex(r * math.cos(theta), r * math.sin(theta))
+
+
+def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint:
+    """Draw a region point: a2 on its disc (skipped in zero mode), then c1,
+    then c2 and c3 on the discs the earlier draws leave open.
+
+    Draws violating a class coefficient cap are rejected and redrawn from the
+    same stream, which keeps the construction deterministic per stream.  In
+    zero mode the caps can never bind, so the first draw is returned.
+    """
+    if a2_mode not in A2_MODES:
+        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
+    for _ in range(100_000):
+        a2 = _draw_disc(rng, A2_RADIUS) if a2_mode == "free" else 0j
+        c1 = _draw_disc(rng, _C1_RADIUS)
+        c2 = _draw_disc(rng, np.maximum(_c2_bound(abs(c1)), 0.0))
+        c3 = _draw_disc(rng, np.maximum(_c3_bound(abs(c1), abs(c2)), 0.0))
+        if within_caps(*coefficient_quintet(a2, c1, c2, c3)):
+            return UParamPoint(a2, SchwarzParams(c1, c2, c3))
+    raise RuntimeError("sampler failed to find a cap-respecting point")  # pragma: no cover
+
+
+def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
+    """Why point lies outside the a2 mode's search region, None if inside:
+    schwarz_feasible, in zero mode a2 == 0 exactly, and the caps."""
+    p = point.schwarz
+    if not schwarz_feasible(p).feasible:
+        return f"violates the region inequalities: {p}"
+    if a2_mode == "zero" and point.a2 != 0:
+        return f"needs a2 = 0 in zero mode, got a2 = {point.a2}"
+    if not within_caps(*coefficient_quintet(point.a2, p.c1, p.c2, p.c3)):
+        return "violates a class coefficient cap"
+    return None
 
 
 def _series_coefficients(pt: UParamPoint, m: int) -> tuple[complex, ...]:

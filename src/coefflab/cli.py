@@ -51,6 +51,7 @@ from .class_u import (
     coefficient_quintet,
     membership_max_defect,
     named_evaluator,
+    sample_point,
 )
 from .functionals import (
     SUPPORTED_CLOSED_FORM_IDS,
@@ -68,7 +69,6 @@ from .search import (
     campaign,
     catalog_witness,
     objective_reference,
-    sample_point,
 )
 from .series import TruncatedSeries, series_reciprocal
 
@@ -117,7 +117,8 @@ def fmt_complex(z: complex) -> str:
 
 
 def jsonable(x):
-    """Lower a payload to plain JSON types; complex becomes [re, im]."""
+    """Lower a payload to plain JSON types; complex becomes [re, im]; any
+    other type raises TypeError rather than reach the document as its str."""
     if isinstance(x, complex):
         return [x.real + 0.0, x.imag + 0.0]  # + 0.0 drops negative zero
     if isinstance(x, float):
@@ -128,7 +129,7 @@ def jsonable(x):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
-    return str(x)
+    raise TypeError(f"no JSON form for {type(x).__name__}: {x!r}")
 
 
 def document(command: str, inputs: dict, results: dict, flags: list[str]) -> dict:

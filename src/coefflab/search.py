@@ -1,7 +1,8 @@
 """Seeded multi-start maximization of determinant moduli over the parameter
 region of class_u (the Schwarz-parameter inequalities and the class
 coefficient caps).  Everything found here is relaxation evidence, not a
-membership proof.
+membership proof.  The region, its sampler (sample_point, re-exported here
+with A2_MODES) and its predicate (region_violation) live in class_u.
 
 A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
 re c1, ..., im c3].  Each restart is one chain of coordinate pattern search
@@ -14,9 +15,9 @@ STEP_MIN or the chain's proposal budget is spent.  Each proposal is pulled
 back into the region by class_u.pull_back (the package's one projection),
 and is scored only if class_u.within_caps (the one cap check) accepts it.
 No point is checked inside the engine: refine checks its start
-(InfeasibleStart) and campaign its winner (CrossCheckFailed) against the
-region, the caps and, in zero mode, a2 == 0; campaign's own starts, catalog
-points and sampler draws, lie in the region by construction.
+(InfeasibleStart) and campaign its winner (CrossCheckFailed) with
+class_u.region_violation; campaign's own starts, catalog points and sampler
+draws, lie in the region by construction.
 
 The chains of a campaign run in lockstep, their state (point, value, step,
 position in the sweep, evaluation count) held in numpy arrays.  Each
@@ -53,17 +54,16 @@ import numpy as np
 
 from .bound_calculus import THEOREM_IDS, constant, theorem_chain
 from .class_u import (
-    A2_RADIUS,
+    A2_MODES,
     CrossCheckFailed,
     SchwarzParams,
     UParamPoint,
-    c2_limit_abs,
-    c3_limit_abs,
     catalog,
     CATALOG_NAMES,
     coefficient_quintet,
     pull_back,
-    schwarz_feasible,
+    region_violation,
+    sample_point,
     u_coefficients,
     within_caps,
 )
@@ -76,8 +76,6 @@ EVAL_CAP = 10_000_000
 #: Pattern-search schedule: the first step, halved down to the last one.
 STEP_INIT = 0.25
 STEP_MIN = 1e-7
-
-A2_MODES = ("free", "zero")
 
 #: Campaign seeds used by the standard report and the acceptance suite.
 DOCUMENTED_SEEDS: dict[str, int] = {
@@ -142,33 +140,6 @@ class SearchResult:
     evaluations_used: int
 
 
-def _draw_disc(rng: np.random.Generator, radius: float) -> complex:
-    # Area-uniform: radius scaled by sqrt of a uniform draw.
-    r = radius * math.sqrt(rng.random())
-    theta = 2.0 * math.pi * rng.random()
-    return complex(r * math.cos(theta), r * math.sin(theta))
-
-
-def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint:
-    """Draw a region point: a2 on its disc (skipped in zero mode), then c1,
-    then c2 and c3 on the discs the earlier draws leave open.
-
-    Draws violating a class coefficient cap are rejected and redrawn from the
-    same stream, which keeps the construction deterministic per stream.  In
-    zero mode the caps can never bind, so the first draw is returned.
-    """
-    if a2_mode not in A2_MODES:
-        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
-    for _ in range(100_000):
-        a2 = _draw_disc(rng, A2_RADIUS) if a2_mode == "free" else 0j
-        c1 = _draw_disc(rng, 1.0)
-        c2 = _draw_disc(rng, c2_limit_abs(abs(c1)))
-        c3 = _draw_disc(rng, c3_limit_abs(abs(c1), abs(c2)))
-        if within_caps(*coefficient_quintet(a2, c1, c2, c3)):
-            return UParamPoint(a2, SchwarzParams(c1, c2, c3))
-    raise RuntimeError("sampler failed to find a cap-respecting point")  # pragma: no cover
-
-
 def _sweep(first: int) -> np.ndarray:
     """The moves of one sweep in the order they are tried, as rows that,
     scaled by the step, are added to a point's 8 floats: +1 and then -1 in
@@ -197,18 +168,6 @@ def _values(x: np.ndarray, fn) -> np.ndarray:
     a2 = z[..., 0]
     a3, a4, a5 = coefficient_quintet(a2, z[..., 1], z[..., 2], z[..., 3])
     return np.where(within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
-
-
-def _outside(objective: Objective, point: UParamPoint) -> str | None:
-    """Why point lies outside the objective's search region; None if inside."""
-    p = point.schwarz
-    if not schwarz_feasible(p).feasible:
-        return f"violates the region inequalities: {p}"
-    if objective.a2_mode == "zero" and point.a2 != 0:
-        return f"needs a2 = 0 in zero mode, got a2 = {point.a2}"
-    if not within_caps(*coefficient_quintet(point.a2, p.c1, p.c2, p.c3)):
-        return "violates a class coefficient cap"
-    return None
 
 
 def _point(row: np.ndarray) -> UParamPoint:
@@ -270,7 +229,7 @@ def refine(
     evaluated and returned; a budget that is not an integer >= 0 raises
     ValueError, and a start outside the region raises InfeasibleStart.
     """
-    if (why := _outside(objective, start)) is not None:
+    if (why := region_violation(start, objective.a2_mode)) is not None:
         raise InfeasibleStart(f"start {why}")
     x, fx, _ = _climb(objective, [start], _integer("budget", budget, 0))
     return _point(x[0]), float(fx[0])
@@ -331,7 +290,7 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
         if fx[i] > best_val:
             best_val, best_pt = float(fx[i]), _point(x[i])
 
-    if (why := _outside(objective, best_pt)) is not None:
+    if (why := region_violation(best_pt, objective.a2_mode)) is not None:
         raise CrossCheckFailed(f"the winner {why}")
     window = u_coefficients(best_pt, 5)
     official = abs(closed_form(window, objective.det))

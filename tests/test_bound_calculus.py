@@ -79,7 +79,6 @@ class TestLedger:
         assert constant("U.a2max").value == 2.0
         assert constant("U.H23").value == 1.4946575
         assert constant("S0.a5max").value == pytest.approx(0.75 + 1.0 / math.sqrt(7.0))
-        assert constant("A.T22").value == 13.0
         assert constant("U0.a4max").value == 0.5
 
     def test_every_row_has_a_source(self):

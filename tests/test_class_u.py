@@ -17,14 +17,16 @@ from coefflab.class_u import (
     SchwarzParams,
     UnknownName,
     UParamPoint,
-    c2_limit_abs,
-    c3_limit_abs,
+    _c2_bound,
+    _c3_bound,
     catalog,
     coefficient_quintet,
     membership_max_defect,
     named_evaluator,
     project_feasible,
     pull_back,
+    region_violation,
+    sample_point,
     schwarz_feasible,
     u_coefficients,
 )
@@ -55,15 +57,45 @@ class TestFeasibility:
         assert a.margins == pytest.approx(b.margins)
 
     def test_limit_helpers(self):
-        assert c2_limit_abs(0.0) == pytest.approx(0.5)
-        assert c2_limit_abs(1.0) == 0.0
-        assert c3_limit_abs(0.0, 0.0) == pytest.approx(1.0 / 3.0)
+        assert _c2_bound(0.0) == pytest.approx(0.5)
+        assert _c2_bound(1.0) == 0.0
+        assert _c3_bound(0.0, 0.0) == pytest.approx(1.0 / 3.0)
         # at (1/sqrt2, 1/4) the bound collapses to 1/(6 sqrt2): the slow-growth
         # catalog entry sits exactly on it
-        assert c3_limit_abs(1.0 / SQRT2, 0.25) == pytest.approx(
+        assert _c3_bound(1.0 / SQRT2, 0.25) == pytest.approx(
             (1.0 - 0.5 - 0.25 / (1.0 + 1.0 / SQRT2)) / 3.0
         )
-        assert c3_limit_abs(1.0 / SQRT2, 0.25) == pytest.approx(1.0 / (6.0 * SQRT2))
+        assert _c3_bound(1.0 / SQRT2, 0.25) == pytest.approx(1.0 / (6.0 * SQRT2))
+
+    def test_margins_are_the_bounds_unclamped(self):
+        # past the unit circle the c2 bound goes negative; the margin keeps
+        # it, while pull_back clamps the radius at zero
+        chk = schwarz_feasible(SchwarzParams(1.5, 0, 0))
+        assert not chk.feasible
+        assert chk.margins == pytest.approx((-0.5, -0.625, -1.25 / 3.0))
+
+
+class TestRegionViolation:
+    def test_inside(self):
+        assert region_violation(F1_POINT, "free") is None
+        assert region_violation(catalog("f4").param, "zero") is None
+
+    def test_inequalities(self):
+        pt = UParamPoint(0, SchwarzParams(0.5, 0.5, 0))
+        assert region_violation(pt, "free").startswith("violates the region inequalities")
+        assert region_violation(pt, "zero").startswith("violates the region inequalities")
+
+    def test_zero_mode_needs_a2_exactly_zero(self):
+        assert region_violation(F1_POINT, "zero") == "needs a2 = 0 in zero mode, got a2 = 2j"
+        near = UParamPoint(5e-13, SchwarzParams(0.3, 0.1, 0.05))
+        assert region_violation(near, "free") is None
+        assert region_violation(near, "zero").startswith("needs a2 = 0")
+
+    def test_caps(self):
+        # a2 = 2, c1 = 1 meets every inequality but gives |a3| = 5 > 3
+        pt = UParamPoint(2, SchwarzParams(1, 0, 0))
+        assert schwarz_feasible(pt.schwarz).feasible
+        assert region_violation(pt, "free") == "violates a class coefficient cap"
 
 
 class TestProjection:
@@ -170,8 +202,6 @@ class TestCoefficientMap:
 
 
 def test_map_and_series_agree_on_sampled_points():
-    from coefflab.search import sample_point
-
     rng = np.random.default_rng(99)
     worst = 0.0
     for _ in range(300):

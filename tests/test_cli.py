@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 import coefflab.class_u as class_u
@@ -340,3 +341,10 @@ class TestPlumbing:
         _, out, _ = run(capsys, "bounds", "--theorem", "thm1_i")
         doc = json.loads(out)
         assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+
+    @pytest.mark.parametrize("value", [np.bool_(True), class_u.SchwarzParams(0, 0, 0)],
+                             ids=["numpy-bool", "dataclass"])
+    def test_jsonable_rejects_unknown_types(self, value):
+        # no str() fallback: a stray type fails loudly instead of entering the document
+        with pytest.raises(TypeError, match="no JSON form"):
+            cli.jsonable({"x": [value]})

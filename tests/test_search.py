@@ -135,6 +135,10 @@ class TestSampler:
         rng = np.random.default_rng(3)
         assert all(sample_point(rng, "zero").a2 == 0 for _ in range(50))
 
+    def test_rejects_bad_mode(self):
+        with pytest.raises(ValueError, match="a2_mode"):
+            sample_point(np.random.default_rng(0), "pinned")
+
     def test_draws_feasible_and_capped(self):
         # 10^4 draws per a2 mode: all pass the region inequalities, and the
         # windows they induce (through the series route, not the sampler's
