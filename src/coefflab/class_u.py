@@ -154,34 +154,28 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     return FeasibilityCheck(all(m >= -FEASIBILITY_TOL for m in margins), margins)
 
 
-def shrink_to_radius(c, radius):
-    """Elementwise radial shrink of complex c onto |c| <= radius; returns (c, |c|).
-
-    An entry whose modulus np.hypot(re, im) strictly exceeds the radius is
-    multiplied by radius / modulus (phase kept) and reports the radius as its
-    modulus; every other entry keeps its value (a zero part may change sign).
-    """
-    m = np.hypot(np.real(c), np.imag(c))
-    s = np.divide(radius, m, out=np.ones(np.shape(m)), where=m > radius)
-    return c * s, np.minimum(m, radius)
-
-
 def pull_back(z: np.ndarray) -> None:
     """Pull points, complex rows [a2, c1, c2, c3], into the region in place; elementwise.
 
     The package's one projection, behind project_feasible and the search's
-    pull-back of every proposal.  a2 is shrunk onto |a2| <= A2_RADIUS (a no-op,
-    bit for bit, when a2 = 0), then c1, c2 and c3 in that order onto their
-    bounds, and a shrunk entry's bound stands in for its modulus in the later
-    bounds, so once c1 reaches the unit circle the tail is exactly zero at
-    every phase.  No slack: a rescaled entry may land an ulp above its bound,
-    inside FEASIBILITY_TOL.  The caps are not projected onto; within_caps
-    checks them.
+    pull-back of every proposal.  One pass: the moduli of all four entries,
+    then the radii in order (A2_RADIUS, the c1 radius, then the c2 and c3
+    bounds clamped at 0), in which a shrunk entry's bound stands in for its
+    modulus, so once c1 reaches the unit circle the tail is exactly zero at
+    every phase; then one multiply by radius / modulus where the modulus
+    exceeds the radius, and by 1 elsewhere (a no-op, bit for bit, when a2 = 0;
+    a zero part may change sign).  No slack: a rescaled entry may land an ulp
+    above its bound, inside FEASIBILITY_TOL.  The caps are not projected onto;
+    within_caps checks them.
     """
-    z[..., 0] = shrink_to_radius(z[..., 0], A2_RADIUS)[0]
-    z[..., 1], m1 = shrink_to_radius(z[..., 1], _C1_RADIUS)
-    z[..., 2], m2 = shrink_to_radius(z[..., 2], np.maximum(_c2_bound(m1), 0.0))
-    z[..., 3] = shrink_to_radius(z[..., 3], np.maximum(_c3_bound(m1, m2), 0.0))[0]
+    m = np.hypot(z.real, z.imag)
+    radius = np.empty_like(m)
+    radius[..., 0], radius[..., 1] = A2_RADIUS, _C1_RADIUS
+    m1 = np.minimum(m[..., 1], _C1_RADIUS)
+    radius[..., 2] = np.maximum(_c2_bound(m1), 0.0)
+    m2 = np.minimum(m[..., 2], radius[..., 2])
+    radius[..., 3] = np.maximum(_c3_bound(m1, m2), 0.0)
+    z *= np.divide(radius, m, out=np.ones_like(m), where=m > radius)
 
 
 def project_feasible(p: SchwarzParams) -> SchwarzParams:

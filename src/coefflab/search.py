@@ -22,14 +22,15 @@ draws, lie in the region by construction.
 The chains of a campaign run in lockstep, their state (point, value, step,
 position in the sweep, evaluation count) held in numpy arrays.  Each
 iteration scores, in one vectorised pass, every move of each live chain's
-sweep from that chain's current point; each chain then takes the first
-improving move at or after its position, which is the move the
-sequential loop would take.  Moves before the position or after the taken
-one are speculative: they are computed but never charged.  A chain is
-charged for the moves up to and including the taken one, and for no more
-than budget + 1 evaluations in all, so evaluations_used counts what the
-sequential loop evaluates.  A campaign takes as many iterations as its
-longest chain has acceptances plus sweeps.
+sweep from that chain's current point.  Each chain tries them in cyclic
+order from its position (the rest of its sweep, then the next sweep's moves
+before the position, from the same point and step) and takes the first
+improving one, as the sequential loop would; if none improves, a whole sweep
+has failed and the step halves.  Moves after the taken one are computed but
+never charged: a chain is charged for the moves it tries up to the taken
+one, and for no more than budget + 1 evaluations in all, so evaluations_used
+counts what the sequential loop evaluates.  A campaign takes as many
+iterations as its longest chain has acceptances plus step halvings.
 
 A campaign evaluates at most restarts * (refine_budget + 1) points over its
 sampled restarts (each scores its start and then up to refine_budget
@@ -109,14 +110,16 @@ class Objective:
         return f"{self.det}|{self.a2_mode}"
 
 
-def _integer(name: str, value, least: int | None = None) -> int:
-    """value as a plain int (numpy integers too); ValueError if not one or below least."""
+def _integer(name: str, value, least: int, below: float = math.inf) -> int:
+    """value as a plain int (numpy integers too, bools not) in [least, below), else ValueError."""
     try:
         n = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if least is not None and n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= n < below:
+        raise ValueError(f"{name} must be in [{least}, {below}), got {n}")
     return n
 
 
@@ -127,8 +130,9 @@ class SearchConfig:
     refine_budget: int = 20_000
 
     def __post_init__(self) -> None:
-        for name, least in (("seed", None), ("restarts", 1), ("refine_budget", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        for name, least, below in (("seed", 0, 2**64), ("restarts", 1, math.inf),
+                                   ("refine_budget", 0, math.inf)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least, below))
 
 
 @dataclass(frozen=True)
@@ -199,16 +203,19 @@ def _climb(
         pull_back(cand.view(complex))
         val = _values(cand, fn)
         left = budget + 1 - pe  # evaluations the chain may still make, >= 1
-        better = (cols >= pos[:, None]) & (cols < (pos + left)[:, None]) & (val > pf[:, None])
+        # the moves in the order tried: the rest of the sweep, then the next's before pos
+        order = (pos[:, None] + cols) % width
+        better = (cols < left[:, None]) & (np.take_along_axis(val, order, 1) > pf[:, None])
         hit = better.any(axis=1)
-        first = better.argmax(axis=1)
+        t = better.argmax(axis=1)  # the offset of the first improving move
+        first = (pos + t) % width
         took = np.flatnonzero(hit)
         px[took] = cand[took, first[took]]
         pf[took] = val[took, first[took]]
-        pe += np.where(hit, first + 1 - pos, np.minimum(width - pos, left))
-        # no hit ends the sweep, with no move in it iff it began at pos 0 (pos > 0
-        # follows a move); after a move it goes on with the next coordinate
-        step[~hit & (pos == 0)] *= 0.5
+        # no hit: the rest of the sweep fails and, if pos > 0, all of the next;
+        # either way a whole sweep has gone without a move, so the step halves
+        pe += np.where(hit, t + 1, np.minimum(width + -pos % width, left))
+        step[~hit] *= 0.5
         pos = np.where(hit, (first // 2 * 2 + 2) % width, 0)
         done = (step < STEP_MIN) | (pe > budget)
         if done.any():
@@ -269,13 +276,12 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
         raise ValueError(
             f"restarts * (refine_budget + 1) = {evals} exceeds the evaluation cap {EVAL_CAP}"
         )
-    seed = config.seed & 0xFFFFFFFFFFFFFFFF
     witnesses = witness_starts(objective)
 
     def start(k: int) -> UParamPoint:
         if k < 0:
             return witnesses[k][1]  # witness j runs as k = j - W
-        return sample_point(np.random.default_rng([seed, k]), objective.a2_mode)
+        return sample_point(np.random.default_rng([config.seed, k]), objective.a2_mode)
 
     indices = range(-len(witnesses), config.restarts)
     best_val = -math.inf

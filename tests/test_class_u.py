@@ -35,6 +35,23 @@ SQRT2 = math.sqrt(2.0)
 F1_POINT = UParamPoint(2j, SchwarzParams(1, 0, 0))
 
 
+def _shrink(c, radius):
+    """Radial shrink of complex c onto |c| <= radius; returns (c, |c| after)."""
+    m = np.hypot(np.real(c), np.imag(c))
+    s = np.divide(radius, m, out=np.ones(np.shape(m)), where=m > radius)
+    return c * s, np.minimum(m, radius)
+
+
+def sequential_pull_back(z):
+    """pull_back's definition as four shrinks in turn, a2 then c1, c2, c3, each
+    onto the bound the shrunk moduli before it leave: the oracle the one-pass
+    pull_back is checked against bit for bit."""
+    z[..., 0] = _shrink(z[..., 0], class_u.A2_RADIUS)[0]
+    z[..., 1], m1 = _shrink(z[..., 1], class_u._C1_RADIUS)
+    z[..., 2], m2 = _shrink(z[..., 2], np.maximum(_c2_bound(m1), 0.0))
+    z[..., 3] = _shrink(z[..., 3], np.maximum(_c3_bound(m1, m2), 0.0))[0]
+
+
 class TestFeasibility:
     def test_extreme_c1(self):
         chk = schwarz_feasible(SchwarzParams(1, 0, 0))
@@ -137,6 +154,50 @@ class TestProjection:
         assert z[1:, 0].tobytes() == zero_a2
         assert z[1].tolist() == [0, 1, 0, 0]
         assert z[2].tolist() == [0, 0.3, 0.2j, 0.05]
+
+
+class TestPullBackOracle:
+    """The one-pass pull_back against sequential_pull_back, compared as bytes."""
+
+    @staticmethod
+    def assert_same(rows):
+        rows = np.asarray(rows, dtype=complex)
+        want = rows.copy()
+        sequential_pull_back(want)
+        pull_back(rows)
+        assert rows.tobytes() == want.tobytes()
+
+    def test_random_rows_inside_and_outside(self):
+        rng = np.random.default_rng(17)
+        scale = rng.choice([0.01, 0.2, 0.5, 1.0, 3.0], size=(4000, 4))
+        rows = scale * (rng.normal(size=(4000, 4)) + 1j * rng.normal(size=(4000, 4)))
+        pulled = rows[:500].copy()
+        sequential_pull_back(pulled)
+        pts = [sample_point(rng, mode) for mode in ("free", "zero") for _ in range(500)]
+        sampled = [[p.a2, p.schwarz.c1, p.schwarz.c2, p.schwarz.c3] for p in pts]
+        self.assert_same(rows)
+        self.assert_same(pulled)
+        self.assert_same(sampled)
+        self.assert_same(rows.reshape(500, 8, 4))  # the search's (chain, move, entry)
+        for row in rows[:50]:
+            self.assert_same(row)  # one row, as project_feasible passes it
+
+    def test_edge_rows(self):
+        rows = [
+            [0j, 0.3, 0.2j, 0.05],  # a2 = 0 exactly
+            [0j, 1.5, 0.5, 0.25],  # |c1| > 1: the tail collapses
+            [0j, 1j, 0.3 - 0.4j, 0.2],  # |c1| = 1 exactly: the tail collapses
+            [0j, -1, -0.0, 0.1j],
+            [2.5j, 1 + 1j, 1, 1],
+            [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0j],
+            [complex(-0.0, -1.0), complex(-0.5, 0.0), complex(0.0, -0.375), complex(-0.0, 0.1)],
+            [2, 0.5, 0.375, 0.125],  # every entry on its bound
+            [-2j, 1 / SQRT2, 0.25, -1.0 / (6.0 * SQRT2)],  # f4's tail, on its bounds
+            [complex(SQRT2, SQRT2), complex(0.6, 0.8), 0, 0],  # on the circles by components
+        ]
+        self.assert_same(rows)
+        for row in rows:
+            self.assert_same(row)
 
 
 _small = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)

@@ -180,6 +180,12 @@ class TestSearch:
         assert (code, out) == (2, "")
         assert "cap" in err
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_exit_2_on_seed_outside_its_range(self, capsys, seed):
+        code, out, err = run(capsys, "search", "--objective", "T2,2", "--seed", seed)
+        assert (code, out) == (2, "")
+        assert "seed must be" in err
+
     @pytest.mark.parametrize("flag", ["--step-init", "--step-min"])
     def test_exit_2_on_step_flags(self, capsys, flag):
         code, out, _ = run(capsys, "search", "--objective", "T2,2", flag, "0.1")

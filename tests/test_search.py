@@ -45,17 +45,23 @@ ALL_OBJECTIVES = [Objective(det, mode) for det in SUPPORTED_CLOSED_FORM_IDS for 
 
 def sequential_climb(objective, start, budget):
     """One restart as a plain first-improvement loop: the oracle the lockstep
-    engine is checked against.
+    engine is checked against; (point as 8 floats, value, evaluations with
+    the start), see counted_climb."""
+    return counted_climb(objective, start, budget)[:3]
+
+
+def counted_climb(objective, start, budget):
+    """sequential_climb, also counting the moves it accepts.
 
     It scores one proposal at a time, on length-1 arrays, through the
     package's projection (class_u.pull_back) and value kernel, and returns
-    (point as 8 floats, value, evaluations with the start).
+    (point as 8 floats, value, evaluations with the start, acceptances).
     """
     fn = closed_form_function(objective.det)
     p = start.schwarz
     y = np.array([[start.a2, p.c1, p.c2, p.c3]], dtype=complex).view(float)
     fy = search._values(y, fn)[0]
-    evals = 1
+    evals, accepted = 1, 0
     step = search.STEP_INIT
     while step >= search.STEP_MIN and evals <= budget:
         improved = False
@@ -70,10 +76,11 @@ def sequential_climb(objective, start, budget):
                 evals += 1
                 if fc > fy:
                     y, fy, improved = cand, fc, True
+                    accepted += 1
                     break
         if not improved:
             step *= 0.5
-    return y[0], fy, evals
+    return y[0], fy, evals, accepted
 
 
 def campaign_starts(objective, config):
@@ -112,6 +119,18 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(seed=1, **kwargs)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, np.True_],
+                             ids=["-1", "2**64", "True", "numpy-True"])
+    def test_seed_outside_its_range_rejected(self, seed):
+        # -1 and 2**64 - 1 used to run the same campaign under two printed seeds
+        with pytest.raises(ValueError, match="seed must be"):
+            SearchConfig(seed=seed)
+
+    def test_seed_range_ends(self):
+        cfg = SearchConfig(seed=0, restarts=1, refine_budget=0)
+        top = SearchConfig(seed=2**64 - 1, restarts=1, refine_budget=0)
+        assert campaign(T22, top).per_restart != campaign(T22, cfg).per_restart
 
     @pytest.mark.parametrize("field", ["step_init", "step_min"])
     def test_step_schedule_is_not_a_setting(self, field):
@@ -382,6 +401,33 @@ class TestLockstepEngine:
         config = SearchConfig(seed=5, restarts=4, refine_budget=500)
         evals = [sequential_climb(T33, s, 500)[2] for s in campaign_starts(T33, config)]
         assert 501 in evals and min(evals) < 501
+
+    @pytest.mark.parametrize("label", ["T3,3|free", "T3,2|zero"])
+    def test_one_iteration_per_acceptance_or_halving(self, label, monkeypatch):
+        # each lockstep iteration pulls back once and either takes a move or
+        # halves the step, so a chain that ends by its step schedule takes
+        # acceptances + H iterations; a sweep per iteration would take more
+        halvings, step = 0, search.STEP_INIT
+        while step >= search.STEP_MIN:
+            step *= 0.5
+            halvings += 1
+        calls = []
+        real = search.pull_back
+
+        def counting(z):
+            calls.append(z.shape)
+            real(z)
+
+        monkeypatch.setattr(search, "pull_back", counting)
+        det, mode = label.split("|")
+        objective = Objective(DeterminantId.parse(det), mode)
+        budget = 5000
+        for start in campaign_starts(objective, SearchConfig(seed=5, restarts=4)):
+            _, _, evals, accepted = counted_climb(objective, start, budget)
+            assert evals <= budget  # the chain ended by its step schedule
+            calls.clear()
+            search._climb(objective, [start], budget)
+            assert len(calls) == accepted + halvings
 
     @pytest.mark.parametrize("label", ["T2,3|free", "T3,1|zero"])
     def test_restart_results_do_not_depend_on_the_batch(self, label):
