@@ -26,10 +26,15 @@ from the ledger.  The caps matter: without them the region admits windows no
 class member can produce (for example a2 = 2, c1 = 1 gives |a3| = 5), and
 suprema searched over it would drift above the published sharp values.
 The region lives here alone, each bound written once: pull_back is its one
-projection, within_caps its one cap check, sample_point its one sampler and
-region_violation its one predicate in either a2 mode.  These conditions are
-necessary, not sufficient, so the region is a relaxation of the true class:
-suprema computed over it are upper evidence, never membership proofs.
+projection, within_caps its one cap check, region_violation its one predicate
+in either a2 mode, and _region_rows its one sampler, an array transform of
+uniforms into points.  Two loops feed it, each consuming a stream exactly as
+one-at-a-time draws would: sample_rows takes n points from one stream
+(sample_point is its one-point call), and sample_rows_per_stream one point
+from each of many streams, as a campaign draws its restarts.  These
+conditions are necessary, not sufficient, so the region is a relaxation of
+the true class: suprema computed over it are upper evidence, never
+membership proofs.
 """
 
 from __future__ import annotations
@@ -146,7 +151,7 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     """Check the three region inequalities with additive slack FEASIBILITY_TOL.
 
     Margins are computed from the raw bound expressions, without the clamp
-    that pull_back and sample_point apply to a radius, so an infeasible c1
+    that pull_back and the sampler apply to a radius, so an infeasible c1
     shows up as a negative first margin rather than a distorted later one.
     """
     c1a, c2a, c3a = abs(p.c1), abs(p.c2), abs(p.c3)
@@ -194,8 +199,8 @@ def project_feasible(p: SchwarzParams) -> SchwarzParams:
 def within_caps(a3, a4, a5):
     """Whether (a3, a4, a5) respects the class coefficient caps; elementwise.
 
-    The one cap check: sample_point and region_violation call it on complex
-    numbers, the search kernel on arrays of proposals.
+    The one cap check: region_violation calls it on complex numbers, the
+    sampler on arrays of attempts and the search kernel on arrays of proposals.
     """
     return (abs(a3) <= _CAP3) & (abs(a4) <= _CAP4) & (abs(a5) <= _CAP5)
 
@@ -215,11 +220,74 @@ def coefficient_quintet(
     return a3, a4, a5
 
 
-def _draw_disc(rng: np.random.Generator, radius: float) -> complex:
-    # Area-uniform: radius scaled by sqrt of a uniform draw.
-    r = radius * math.sqrt(rng.random())
-    theta = 2.0 * math.pi * rng.random()
-    return complex(r * math.cos(theta), r * math.sin(theta))
+def _attempt_width(a2_mode: str) -> int:
+    """Uniforms one sampler attempt draws: two per disc, a2's skipped in zero mode."""
+    if a2_mode not in A2_MODES:
+        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
+    return 8 if a2_mode == "free" else 6
+
+
+def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sampler attempts from uniforms of shape (..., 8), or (..., 6) with
+    a2 = 0: region points as rows of 8 floats, and whether each respects the
+    class coefficient caps.
+
+    The discs are drawn in order, a2, c1, c2, c3, each area-uniform from two
+    uniforms in turn, radius sqrt(u) then angle 2 pi u, on the radius the
+    earlier entries leave open (the c2 and c3 bounds clamped at 0).
+    """
+    x = np.zeros(u.shape[:-1] + (8,))
+    first = 4 - u.shape[-1] // 2  # 1 when a2 = 0, whose two floats stay +0.0
+    scale = np.sqrt(u[..., 0::2])
+    theta = 2.0 * math.pi * u[..., 1::2]
+    cos, sin = np.cos(theta), np.sin(theta)
+
+    def disc(k: int, radius) -> np.ndarray:
+        # entry k on its disc; returns the entry's modulus
+        r = radius * scale[..., k - first]
+        x[..., 2 * k], x[..., 2 * k + 1] = r * cos[..., k - first], r * sin[..., k - first]
+        return np.hypot(x[..., 2 * k], x[..., 2 * k + 1])
+
+    if first == 0:
+        disc(0, A2_RADIUS)
+    m1 = disc(1, _C1_RADIUS)
+    m2 = disc(2, np.maximum(_c2_bound(m1), 0.0))
+    disc(3, np.maximum(_c3_bound(m1, m2), 0.0))
+    z = x.view(complex)
+    return x, within_caps(*coefficient_quintet(z[..., 0], z[..., 1], z[..., 2], z[..., 3]))
+
+
+def sample_rows(rng: np.random.Generator, n: int, a2_mode: str = "free") -> np.ndarray:
+    """n region points from one stream, as rows of 8 floats [re a2, im a2,
+    re c1, ..., im c3]; the same points, in the same order, as n sample_point
+    calls, and rng is left where those calls leave it.
+
+    Each round draws one attempt per missing point, since each needs at
+    least one more, so no round draws past the sequential sampler.
+    """
+    width = _attempt_width(a2_mode)
+    rows = [np.empty((0, 8))]
+    missing = n
+    while missing > 0:
+        x, ok = _region_rows(rng.random((missing, width)))
+        rows.append(x[ok])
+        missing -= len(rows[-1])
+    return np.concatenate(rows)
+
+
+def sample_rows_per_stream(rngs, a2_mode: str = "free") -> np.ndarray:
+    """One region point from each stream, as rows of 8 floats: row i is
+    sample_point(rngs[i], a2_mode).  Each round takes one attempt from every
+    stream still missing its point, through one _region_rows call.
+    """
+    width = _attempt_width(a2_mode)
+    x = np.empty((len(rngs), 8))
+    todo = np.arange(len(rngs))
+    while len(todo):
+        got, ok = _region_rows(np.array([rngs[i].random(width) for i in todo]))
+        x[todo[ok]] = got[ok]
+        todo = todo[~ok]
+    return x
 
 
 def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint:
@@ -228,18 +296,11 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
 
     Draws violating a class coefficient cap are rejected and redrawn from the
     same stream, which keeps the construction deterministic per stream.  In
-    zero mode the caps can never bind, so the first draw is returned.
+    zero mode the caps can never bind, so the first draw is returned.  The
+    one-point call of sample_rows.
     """
-    if a2_mode not in A2_MODES:
-        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
-    for _ in range(100_000):
-        a2 = _draw_disc(rng, A2_RADIUS) if a2_mode == "free" else 0j
-        c1 = _draw_disc(rng, _C1_RADIUS)
-        c2 = _draw_disc(rng, np.maximum(_c2_bound(abs(c1)), 0.0))
-        c3 = _draw_disc(rng, np.maximum(_c3_bound(abs(c1), abs(c2)), 0.0))
-        if within_caps(*coefficient_quintet(a2, c1, c2, c3)):
-            return UParamPoint(a2, SchwarzParams(c1, c2, c3))
-    raise RuntimeError("sampler failed to find a cap-respecting point")  # pragma: no cover
+    a2, c1, c2, c3 = sample_rows(rng, 1, a2_mode).view(complex)[0].tolist()
+    return UParamPoint(a2, SchwarzParams(c1, c2, c3))
 
 
 def region_violation(point: UParamPoint, a2_mode: str) -> str | None:

@@ -15,8 +15,9 @@ text are flattened renderings of the same payload: their columns are the
 result fields, nested keys joined with '_' (reference.id is reference_id) and
 lists joined with ';'.  Identical inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 argument or parse errors (non-finite literals and
-membership requests over the sample cap included), 3 runtime evaluation
+Exit codes: 0 success, 2 argument or parse errors (non-finite literals,
+membership requests over the sample cap and an --out path that cannot be
+written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
 cross-check).
@@ -51,7 +52,7 @@ from .class_u import (
     coefficient_quintet,
     membership_max_defect,
     named_evaluator,
-    sample_point,
+    sample_rows,
 )
 from .functionals import (
     SUPPORTED_CLOSED_FORM_IDS,
@@ -242,7 +243,10 @@ def render_text(doc: dict) -> str:
 def emit(doc: dict, fmt: str, out: str | None) -> None:
     text = {"json": render_json, "csv": render_csv, "text": render_text}[fmt](doc)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:  # an --out path that cannot be written is an argument error
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -394,28 +398,24 @@ _SHARP_ROWS = (
 
 
 def _report_closed_form_oracle() -> dict:
-    rng = np.random.default_rng(ORACLE_WINDOW_SEED)
+    # a2..a5 of each window on the disc of radius 5, each drawn as radius then angle
+    u = np.random.default_rng(ORACLE_WINDOW_SEED).random((ORACLE_COUNT, 4, 2))
+    r, th = 5.0 * np.sqrt(u[..., 0]), 2.0 * np.pi * u[..., 1]
+    tails = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1).view(complex)[..., 0]
     worst = 0.0
-    for _ in range(ORACLE_COUNT):
-        coeffs = [1.0]
-        for _k in range(4):
-            r = 5.0 * np.sqrt(rng.random())
-            th = 2.0 * np.pi * rng.random()
-            coeffs.append(complex(r * np.cos(th), r * np.sin(th)))
-        w = CoefficientWindow(tuple(coeffs))
+    for tail in tails.tolist():
+        w = CoefficientWindow((1.0, *tail))
         for det in SUPPORTED_CLOSED_FORM_IDS:
             worst = max(worst, abs(closed_form(w, det) - det_value(w, det)))
     return {"windows": ORACLE_COUNT, "seed": ORACLE_WINDOW_SEED, "max_delta": worst}
 
 
 def _report_map_oracle() -> dict:
-    rng = np.random.default_rng(ORACLE_MAP_SEED)
+    rows = sample_rows(np.random.default_rng(ORACLE_MAP_SEED), ORACLE_COUNT, "free")
     worst = 0.0
-    for _ in range(ORACLE_COUNT):
-        pt = sample_point(rng, "free")
-        p = pt.schwarz
-        direct = (1.0, pt.a2, *coefficient_quintet(pt.a2, p.c1, p.c2, p.c3))
-        recip = series_reciprocal(TruncatedSeries((1.0, -pt.a2, -p.c1, -p.c2, -p.c3)))
+    for a2, c1, c2, c3 in rows.view(complex).tolist():
+        direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))
+        recip = series_reciprocal(TruncatedSeries((1.0, -a2, -c1, -c2, -c3)))
         for x, y in zip(direct, recip.coeffs):
             worst = max(worst, abs(x - y))
     return {"points": ORACLE_COUNT, "seed": ORACLE_MAP_SEED, "max_delta": worst}

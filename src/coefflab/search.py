@@ -2,7 +2,8 @@
 region of class_u (the Schwarz-parameter inequalities and the class
 coefficient caps).  Everything found here is relaxation evidence, not a
 membership proof.  The region, its sampler (sample_point, re-exported here
-with A2_MODES) and its predicate (region_violation) live in class_u.
+with A2_MODES, and sample_rows_per_stream, which draws a campaign's starts)
+and its predicate (region_violation) live in class_u.
 
 A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
 re c1, ..., im c3].  Each restart is one chain of coordinate pattern search
@@ -36,13 +37,16 @@ A campaign evaluates at most restarts * (refine_budget + 1) points over its
 sampled restarts (each scores its start and then up to refine_budget
 proposals); that product may not exceed EVAL_CAP.
 
-Determinism contract: restart k draws its start from an RNG stream derived
-only from (seed, k); every array operation of the engine is elementwise, so
-a chain's result does not depend on which chains share its arrays (refine
-runs the same engine on one chain and returns the campaign's value for that
-start); and the cross-restart reduction (max value, then lowest restart
-index) is order independent.  Results are therefore bit-identical across
-reruns, restart counts and block sizes.
+Determinism contract: restart k draws its start from its own RNG stream,
+numpy.random.default_rng([seed, k]).  A block's starts are drawn together,
+each stream consumed exactly as sample_point would consume it, so restart
+k's start is the point sample_point draws from that stream.  Every array
+operation of the engine is elementwise, so a chain's result does not depend
+on which chains share its arrays (refine runs the same engine on one chain
+and returns the campaign's value for that start); and the cross-restart
+reduction (max value, then lowest restart index) is order independent.
+Results are therefore bit-identical across reruns, restart counts and block
+sizes.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from .class_u import (
     pull_back,
     region_violation,
     sample_point,
+    sample_rows_per_stream,
     u_coefficients,
     within_caps,
 )
@@ -179,19 +184,24 @@ def _point(row: np.ndarray) -> UParamPoint:
     return UParamPoint(a2, SchwarzParams(c1, c2, c3))
 
 
+def _rows(points) -> np.ndarray:
+    """Points as rows of 8 floats, the inverse of _point."""
+    return np.array([(p.a2, p.schwarz.c1, p.schwarz.c2, p.schwarz.c3) for p in points],
+                    dtype=complex).view(float)
+
+
 def _climb(
-    objective: Objective, starts: list[UParamPoint], budget: int
+    objective: Objective, starts: np.ndarray, budget: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one chain from each start, all in lockstep (see the module
-    docstring); returns each chain's final point (rows of 8 floats), value
-    and evaluation count (start included).
+    """Run one chain from each start (rows of 8 floats), all in lockstep
+    (see the module docstring); returns each chain's final point (rows of 8
+    floats), value and evaluation count (start included).
     """
     fn = closed_form_function(objective.det)
     sweep = _SWEEPS[objective.a2_mode]
     width = len(sweep)
     cols = np.arange(width)
-    x = np.array([(s.a2, s.schwarz.c1, s.schwarz.c2, s.schwarz.c3) for s in starts],
-                 dtype=complex).view(float)
+    x = np.array(starts, dtype=float)  # a copy: the final points are written into it
     fx = _values(x, fn)
     evals = np.ones(len(starts), dtype=np.int64)
     ids = np.flatnonzero(evals <= budget)  # the live chains: ids[i] started row i
@@ -238,7 +248,7 @@ def refine(
     """
     if (why := region_violation(start, objective.a2_mode)) is not None:
         raise InfeasibleStart(f"start {why}")
-    x, fx, _ = _climb(objective, [start], _integer("budget", budget, 0))
+    x, fx, _ = _climb(objective, _rows([start]), _integer("budget", budget, 0))
     return _point(x[0]), float(fx[0])
 
 
@@ -276,20 +286,17 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
         raise ValueError(
             f"restarts * (refine_budget + 1) = {evals} exceeds the evaluation cap {EVAL_CAP}"
         )
-    witnesses = witness_starts(objective)
-
-    def start(k: int) -> UParamPoint:
-        if k < 0:
-            return witnesses[k][1]  # witness j runs as k = j - W
-        return sample_point(np.random.default_rng([config.seed, k]), objective.a2_mode)
-
-    indices = range(-len(witnesses), config.restarts)
+    witnesses = _rows(pt for _, pt in witness_starts(objective))
+    indices = range(-len(witnesses), config.restarts)  # witness j runs as k = j - W
     best_val = -math.inf
     per: list[tuple[int, float]] = []
     total = 0
     for lo in range(0, len(indices), _BLOCK):
         block = indices[lo:lo + _BLOCK]
-        x, fx, used = _climb(objective, [start(k) for k in block], config.refine_budget)
+        rngs = [np.random.default_rng([config.seed, k]) for k in block if k >= 0]
+        starts = np.concatenate([witnesses[lo:lo + _BLOCK],
+                                 sample_rows_per_stream(rngs, objective.a2_mode)])
+        x, fx, used = _climb(objective, starts, config.refine_budget)
         total += int(used.sum())
         per.extend(zip(block, fx.tolist()))
         i = int(np.argmax(fx))  # the first maximum: ties keep the lowest index

@@ -307,6 +307,14 @@ class TestPlumbing:
         assert out == ""
         assert json.loads(target.read_text())["results"]["modulus"] == 1.0
 
+    @pytest.mark.parametrize("target", ["missing/dir/doc.json", "."], ids=["no-dir", "a-dir"])
+    def test_exit_2_when_out_cannot_be_written(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, "bounds", "--all", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--function", "f1", "--det", "T2,2",

@@ -1,5 +1,6 @@
 """Sampler, refiner, and campaign determinism on small configurations."""
 
+import math
 import os
 import subprocess
 import sys
@@ -11,11 +12,19 @@ import pytest
 
 import coefflab.search as search
 from coefflab.class_u import (
+    A2_RADIUS,
     CrossCheckFailed,
     SchwarzParams,
     UParamPoint,
+    _C1_RADIUS,
+    _c2_bound,
+    _c3_bound,
+    coefficient_quintet,
     pull_back,
+    sample_rows,
+    sample_rows_per_stream,
     schwarz_feasible,
+    within_caps,
 )
 from coefflab.functionals import (
     SUPPORTED_CLOSED_FORM_IDS,
@@ -43,6 +52,26 @@ T33 = Objective(DeterminantId.parse("T3,3"))
 ALL_OBJECTIVES = [Objective(det, mode) for det in SUPPORTED_CLOSED_FORM_IDS for mode in A2_MODES]
 
 
+def _draw_disc(rng, radius):
+    # Area-uniform: radius scaled by sqrt of a uniform draw.
+    r = radius * math.sqrt(rng.random())
+    theta = 2.0 * math.pi * rng.random()
+    return complex(r * math.cos(theta), r * math.sin(theta))
+
+
+def sequential_sample_point(rng, a2_mode):
+    """The sampler as a scalar loop, one attempt and one disc at a time on
+    Python complex numbers: the oracle the array sampler is checked against
+    bit for bit."""
+    while True:
+        a2 = _draw_disc(rng, A2_RADIUS) if a2_mode == "free" else 0j
+        c1 = _draw_disc(rng, _C1_RADIUS)
+        c2 = _draw_disc(rng, np.maximum(_c2_bound(abs(c1)), 0.0))
+        c3 = _draw_disc(rng, np.maximum(_c3_bound(abs(c1), abs(c2)), 0.0))
+        if within_caps(*coefficient_quintet(a2, c1, c2, c3)):
+            return UParamPoint(a2, SchwarzParams(c1, c2, c3))
+
+
 def sequential_climb(objective, start, budget):
     """One restart as a plain first-improvement loop: the oracle the lockstep
     engine is checked against; (point as 8 floats, value, evaluations with
@@ -53,13 +82,13 @@ def sequential_climb(objective, start, budget):
 def counted_climb(objective, start, budget):
     """sequential_climb, also counting the moves it accepts.
 
-    It scores one proposal at a time, on length-1 arrays, through the
-    package's projection (class_u.pull_back) and value kernel, and returns
-    (point as 8 floats, value, evaluations with the start, acceptances).
+    It starts from a row of 8 floats and scores one proposal at a time, on
+    length-1 arrays, through the package's projection (class_u.pull_back)
+    and value kernel, and returns (point as 8 floats, value, evaluations with
+    the start, acceptances).
     """
     fn = closed_form_function(objective.det)
-    p = start.schwarz
-    y = np.array([[start.a2, p.c1, p.c2, p.c3]], dtype=complex).view(float)
+    y = start.reshape(1, 8).copy()
     fy = search._values(y, fn)[0]
     evals, accepted = 1, 0
     step = search.STEP_INIT
@@ -84,12 +113,13 @@ def counted_climb(objective, start, budget):
 
 
 def campaign_starts(objective, config):
-    """The starts of a campaign's chains, in restart-index order."""
+    """The starts of a campaign's chains, in restart-index order, as rows of
+    8 floats; restart k's from the sequential sampler on its own stream."""
     starts = [pt for _, pt in witness_starts(objective)]
     for k in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, k]))
-        starts.append(sample_point(rng, objective.a2_mode))
-    return starts
+        starts.append(sequential_sample_point(rng, objective.a2_mode))
+    return search._rows(starts)
 
 
 class TestObjective:
@@ -158,18 +188,45 @@ class TestSampler:
         with pytest.raises(ValueError, match="a2_mode"):
             sample_point(np.random.default_rng(0), "pinned")
 
+    @pytest.mark.parametrize("mode", A2_MODES)
+    def test_one_stream_draws_match_the_oracle(self, mode):
+        # n points from one stream are n sequential draws, bit for bit, and
+        # leave the stream where those draws leave it
+        for n in (0, 1, 2, 1500):
+            rng, ref = np.random.default_rng([13, n]), np.random.default_rng([13, n])
+            rows = sample_rows(rng, n, mode)
+            want = [sequential_sample_point(ref, mode) for _ in range(n)]
+            assert rows.shape == (n, 8)
+            assert rows.tobytes() == search._rows(want).reshape(n, 8).tobytes()
+            assert rng.random() == ref.random()
+        rng, ref = np.random.default_rng(14), np.random.default_rng(14)
+        assert [sample_point(rng, mode) for _ in range(20)] == [
+            sequential_sample_point(ref, mode) for _ in range(20)]
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("mode", A2_MODES)
+    def test_per_stream_draws_match_campaign_starts(self, mode):
+        objective = Objective(DeterminantId.parse("T3,2"), mode)
+        config = SearchConfig(seed=21, restarts=700)
+        rows = sample_rows_per_stream(
+            [np.random.default_rng([config.seed, k]) for k in range(config.restarts)], mode)
+        skip = len(witness_starts(objective))
+        assert rows.tobytes() == campaign_starts(objective, config)[skip:].tobytes()
+        assert sample_rows_per_stream([], mode).shape == (0, 8)
+
     def test_draws_feasible_and_capped(self):
-        # 10^4 draws per a2 mode: all pass the region inequalities, and the
-        # windows they induce (through the series route, not the sampler's
-        # coefficient map) respect the caps |a3| <= 3, |a4| <= 4, |a5| <= 5;
-        # campaigns run their draws unchecked, so this is what covers them
+        # 10^4 draws per a2 mode through the array sampler campaigns run: all
+        # pass the region inequalities, and the windows they induce (through
+        # the series route, not the sampler's coefficient map) respect the
+        # caps |a3| <= 3, |a4| <= 4, |a5| <= 5; campaigns run their draws
+        # unchecked, so this is what covers them
         from coefflab.class_u import u_coefficients
 
         for mode in A2_MODES:
-            rng = np.random.default_rng(11)
+            rows = sample_rows(np.random.default_rng(11), 10_000, mode)
             top = np.zeros(3)
-            for _ in range(10_000):
-                pt = sample_point(rng, mode)
+            for a2, c1, c2, c3 in rows.view(complex).tolist():
+                pt = UParamPoint(a2, SchwarzParams(c1, c2, c3))
                 assert schwarz_feasible(pt.schwarz).feasible
                 assert abs(pt.a2) <= 2.0 + 1e-12 and (mode == "free" or pt.a2 == 0)
                 w = u_coefficients(pt, 5)
@@ -426,7 +483,7 @@ class TestLockstepEngine:
             _, _, evals, accepted = counted_climb(objective, start, budget)
             assert evals <= budget  # the chain ended by its step schedule
             calls.clear()
-            search._climb(objective, [start], budget)
+            search._climb(objective, start[None], budget)
             assert len(calls) == accepted + halvings
 
     @pytest.mark.parametrize("label", ["T2,3|free", "T3,1|zero"])
@@ -440,7 +497,7 @@ class TestLockstepEngine:
                           campaign_starts(objective, SearchConfig(seed=9, restarts=12))))
         values = dict(large.per_restart)
         for k in (-1, 0, 7, 11):
-            assert refine(objective, starts[k], 800)[1] == values[k]
+            assert refine(objective, search._point(starts[k]), 800)[1] == values[k]
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         config = SearchConfig(seed=3, restarts=9, refine_budget=300)
