@@ -28,10 +28,12 @@ suprema searched over it would drift above the published sharp values.
 The region lives here alone, each bound written once: pull_back is its one
 projection, within_caps its one cap check, region_violation its one predicate
 in either a2 mode, and _region_rows its one sampler, an array transform of
-uniforms into points.  Two loops feed it, each consuming a stream exactly as
-one-at-a-time draws would: sample_rows takes n points from one stream
-(sample_point is its one-point call), and sample_rows_per_stream one point
-from each of many streams, as a campaign draws its restarts.  These
+uniforms into points.  One loop feeds it: sample_rows_per_stream takes one
+point from each of many streams, as a campaign draws its restarts, and
+consumes each stream exactly as one-at-a-time draws would; sample_point is
+its one-stream call, and n points from one stream are that Generator listed
+n times.  _point and _rows convert between a point and its row of 8 floats
+[re a2, im a2, re c1, ..., im c3], the form the sampler and search use.  These
 conditions are necessary, not sufficient, so the region is a relaxation of
 the true class: suprema computed over it are upper evidence, never
 membership proofs.
@@ -220,13 +222,6 @@ def coefficient_quintet(
     return a3, a4, a5
 
 
-def _attempt_width(a2_mode: str) -> int:
-    """Uniforms one sampler attempt draws: two per disc, a2's skipped in zero mode."""
-    if a2_mode not in A2_MODES:
-        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
-    return 8 if a2_mode == "free" else 6
-
-
 def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampler attempts from uniforms of shape (..., 8), or (..., 6) with
     a2 = 0: region points as rows of 8 floats, and whether each respects the
@@ -257,30 +252,19 @@ def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, within_caps(*coefficient_quintet(z[..., 0], z[..., 1], z[..., 2], z[..., 3]))
 
 
-def sample_rows(rng: np.random.Generator, n: int, a2_mode: str = "free") -> np.ndarray:
-    """n region points from one stream, as rows of 8 floats [re a2, im a2,
-    re c1, ..., im c3]; the same points, in the same order, as n sample_point
-    calls, and rng is left where those calls leave it.
-
-    Each round draws one attempt per missing point, since each needs at
-    least one more, so no round draws past the sequential sampler.
-    """
-    width = _attempt_width(a2_mode)
-    rows = [np.empty((0, 8))]
-    missing = n
-    while missing > 0:
-        x, ok = _region_rows(rng.random((missing, width)))
-        rows.append(x[ok])
-        missing -= len(rows[-1])
-    return np.concatenate(rows)
-
-
 def sample_rows_per_stream(rngs, a2_mode: str = "free") -> np.ndarray:
-    """One region point from each stream, as rows of 8 floats: row i is
-    sample_point(rngs[i], a2_mode).  Each round takes one attempt from every
-    stream still missing its point, through one _region_rows call.
+    """One region point from each stream, as rows of 8 floats [re a2, im a2,
+    re c1, ..., im c3]: row i is sample_point(rngs[i], a2_mode).  Each round
+    takes one attempt, two uniforms per disc (a2's skipped in zero mode),
+    from every stream still missing its point, through one _region_rows call.
+
+    A Generator listed n times gives exactly the points of n sample_point
+    calls on it, and is left where those calls leave it; only the order of
+    the rows may differ.
     """
-    width = _attempt_width(a2_mode)
+    if a2_mode not in A2_MODES:
+        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
+    width = 8 if a2_mode == "free" else 6
     x = np.empty((len(rngs), 8))
     todo = np.arange(len(rngs))
     while len(todo):
@@ -290,6 +274,18 @@ def sample_rows_per_stream(rngs, a2_mode: str = "free") -> np.ndarray:
     return x
 
 
+def _point(row: np.ndarray) -> UParamPoint:
+    """A row of 8 floats as a region point."""
+    a2, c1, c2, c3 = (complex(v) for v in row.view(complex))
+    return UParamPoint(a2, SchwarzParams(c1, c2, c3))
+
+
+def _rows(points) -> np.ndarray:
+    """Points as rows of 8 floats, the inverse of _point."""
+    return np.array([(p.a2, p.schwarz.c1, p.schwarz.c2, p.schwarz.c3) for p in points],
+                    dtype=complex).view(float)
+
+
 def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint:
     """Draw a region point: a2 on its disc (skipped in zero mode), then c1,
     then c2 and c3 on the discs the earlier draws leave open.
@@ -297,10 +293,10 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
     Draws violating a class coefficient cap are rejected and redrawn from the
     same stream, which keeps the construction deterministic per stream.  In
     zero mode the caps can never bind, so the first draw is returned.  The
-    one-point call of sample_rows.
+    one-stream call of sample_rows_per_stream; to draw n points from rng,
+    list it n times there.
     """
-    a2, c1, c2, c3 = sample_rows(rng, 1, a2_mode).view(complex)[0].tolist()
-    return UParamPoint(a2, SchwarzParams(c1, c2, c3))
+    return _point(sample_rows_per_stream([rng], a2_mode)[0])
 
 
 def region_violation(point: UParamPoint, a2_mode: str) -> str | None:

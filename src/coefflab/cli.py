@@ -20,7 +20,9 @@ membership requests over the sample cap and an --out path that cannot be
 written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
-cross-check).
+cross-check); either prints one line, error: and the message, on stderr.
+report's map oracle lists its one Generator once per point in
+class_u.sample_rows_per_stream; its max over the points ignores their order.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .class_u import (
     coefficient_quintet,
     membership_max_defect,
     named_evaluator,
-    sample_rows,
+    sample_rows_per_stream,
 )
 from .functionals import (
     SUPPORTED_CLOSED_FORM_IDS,
@@ -411,7 +413,7 @@ def _report_closed_form_oracle() -> dict:
 
 
 def _report_map_oracle() -> dict:
-    rows = sample_rows(np.random.default_rng(ORACLE_MAP_SEED), ORACLE_COUNT, "free")
+    rows = sample_rows_per_stream([np.random.default_rng(ORACLE_MAP_SEED)] * ORACLE_COUNT, "free")
     worst = 0.0
     for a2, c1, c2, c3 in rows.view(complex).tolist():
         direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))
@@ -528,7 +530,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (UnknownName, UnsupportedId, UnknownTheorem, UnknownConstant,
             ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -6,7 +6,8 @@ with A2_MODES, and sample_rows_per_stream, which draws a campaign's starts)
 and its predicate (region_violation) live in class_u.
 
 A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
-re c1, ..., im c3].  Each restart is one chain of coordinate pattern search
+re c1, ..., im c3]; class_u's _point and _rows convert between the two
+forms.  Each restart is one chain of coordinate pattern search
 with first-improvement acceptance and a fixed schedule.  A sweep tries +step
 and then -step on each float in turn (zero mode skips a2's two floats); the
 first move that strictly raises the value is taken, and the sweep goes on
@@ -61,8 +62,9 @@ from .bound_calculus import THEOREM_IDS, constant, theorem_chain
 from .class_u import (
     A2_MODES,
     CrossCheckFailed,
-    SchwarzParams,
     UParamPoint,
+    _point,
+    _rows,
     catalog,
     CATALOG_NAMES,
     coefficient_quintet,
@@ -177,17 +179,6 @@ def _values(x: np.ndarray, fn) -> np.ndarray:
     a2 = z[..., 0]
     a3, a4, a5 = coefficient_quintet(a2, z[..., 1], z[..., 2], z[..., 3])
     return np.where(within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
-
-
-def _point(row: np.ndarray) -> UParamPoint:
-    a2, c1, c2, c3 = (complex(v) for v in row.view(complex))
-    return UParamPoint(a2, SchwarzParams(c1, c2, c3))
-
-
-def _rows(points) -> np.ndarray:
-    """Points as rows of 8 floats, the inverse of _point."""
-    return np.array([(p.a2, p.schwarz.c1, p.schwarz.c2, p.schwarz.c3) for p in points],
-                    dtype=complex).view(float)
 
 
 def _climb(

@@ -10,6 +10,7 @@ import pytest
 import coefflab.class_u as class_u
 import coefflab.cli as cli
 import coefflab.search as search
+from coefflab.bound_calculus import THEOREM_IDS
 from coefflab.class_u import EvaluationFailure
 from coefflab.cli import main, parse_complex
 
@@ -314,6 +315,19 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(("eval", "--function", "nope", "--det", "T2,2"),
+                     f"unknown catalog name 'nope'; known: {class_u.CATALOG_NAMES}",
+                     id="unknown-name"),
+        pytest.param(("search", "--objective", "T4,1"), "no closed form for T4,1",
+                     id="unsupported-id"),
+        pytest.param(("bounds", "--theorem", "nope"),
+                     f"no chain 'nope'; known: {THEOREM_IDS}", id="unknown-theorem"),
+    ])
+    def test_lookup_errors_print_their_message(self, capsys, argv, message):
+        # the lookup errors are KeyErrors, whose str() would wrap the message in quotes
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_text_format(self, capsys):
         code, out, _ = run(

@@ -19,9 +19,10 @@ from coefflab.class_u import (
     _C1_RADIUS,
     _c2_bound,
     _c3_bound,
+    _point,
+    _rows,
     coefficient_quintet,
     pull_back,
-    sample_rows,
     sample_rows_per_stream,
     schwarz_feasible,
     within_caps,
@@ -119,7 +120,7 @@ def campaign_starts(objective, config):
     for k in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, k]))
         starts.append(sequential_sample_point(rng, objective.a2_mode))
-    return search._rows(starts)
+    return _rows(starts)
 
 
 class TestObjective:
@@ -190,14 +191,14 @@ class TestSampler:
 
     @pytest.mark.parametrize("mode", A2_MODES)
     def test_one_stream_draws_match_the_oracle(self, mode):
-        # n points from one stream are n sequential draws, bit for bit, and
-        # leave the stream where those draws leave it
+        # a Generator listed n times gives the points of n sequential draws,
+        # bit for bit though not in order, and is left where those draws leave it
         for n in (0, 1, 2, 1500):
             rng, ref = np.random.default_rng([13, n]), np.random.default_rng([13, n])
-            rows = sample_rows(rng, n, mode)
-            want = [sequential_sample_point(ref, mode) for _ in range(n)]
+            rows = sample_rows_per_stream([rng] * n, mode)
+            want = _rows([sequential_sample_point(ref, mode) for _ in range(n)]).reshape(n, 8)
             assert rows.shape == (n, 8)
-            assert rows.tobytes() == search._rows(want).reshape(n, 8).tobytes()
+            assert sorted(r.tobytes() for r in rows) == sorted(r.tobytes() for r in want)
             assert rng.random() == ref.random()
         rng, ref = np.random.default_rng(14), np.random.default_rng(14)
         assert [sample_point(rng, mode) for _ in range(20)] == [
@@ -223,7 +224,7 @@ class TestSampler:
         from coefflab.class_u import u_coefficients
 
         for mode in A2_MODES:
-            rows = sample_rows(np.random.default_rng(11), 10_000, mode)
+            rows = sample_rows_per_stream([np.random.default_rng(11)] * 10_000, mode)
             top = np.zeros(3)
             for a2, c1, c2, c3 in rows.view(complex).tolist():
                 pt = UParamPoint(a2, SchwarzParams(c1, c2, c3))
@@ -497,7 +498,7 @@ class TestLockstepEngine:
                           campaign_starts(objective, SearchConfig(seed=9, restarts=12))))
         values = dict(large.per_restart)
         for k in (-1, 0, 7, 11):
-            assert refine(objective, search._point(starts[k]), 800)[1] == values[k]
+            assert refine(objective, _point(starts[k]), 800)[1] == values[k]
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         config = SearchConfig(seed=3, restarts=9, refine_budget=300)
