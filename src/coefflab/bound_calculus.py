@@ -253,13 +253,12 @@ def theorem_chain(
     except KeyError:
         raise UnknownTheorem(f"no chain {theorem_id!r}; known: {THEOREM_IDS}") from None
 
-    if constants is None:
-        getter: Getter = lambda id_: constant(id_).value
-    else:
-        def getter(id_: str) -> float:
-            if id_ not in constants:
-                raise UnknownConstant(f"no ledger constant {id_!r} in the supplied mapping")
-            return constants[id_]
+    values = {id_: c.value for id_, c in LEDGER.items()} if constants is None else constants
+
+    def getter(id_: str) -> float:
+        if id_ not in values:
+            raise UnknownConstant(f"no ledger constant {id_!r} in the chain's constants")
+        return values[id_]
 
     value, steps = builder(getter)
     truncated = stated_text.endswith("...")

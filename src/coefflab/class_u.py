@@ -14,6 +14,9 @@ coefficient map used throughout:
     a4 = c2 + 2 a2 c1 + a2^3
     a5 = c3 + 2 a2 c2 + c1^2 + 3 a2^2 c1 + a2^4
 
+_coefficient_routes is the one place this map is compared with the series
+route; u_coefficients and the report's map oracle both read its gaps.
+
 The search region is the point set (a2, c1, c2, c3) with |a2| <= 2 and the
 necessary conditions
 
@@ -27,22 +30,23 @@ class member can produce (for example a2 = 2, c1 = 1 gives |a3| = 5), and
 suprema searched over it would drift above the published sharp values.
 The region lives here alone, each bound written once: pull_back is its one
 projection, within_caps its one cap check, region_violation its one predicate
-in either a2 mode, and _region_rows its one sampler, an array transform of
-uniforms into points.  One loop feeds it: sample_rows_per_stream takes one
-point from each of many streams, as a campaign draws its restarts, and
-consumes each stream exactly as one-at-a-time draws would; sample_point is
-its one-stream call, and n points from one stream are that Generator listed
-n times.  _point and _rows convert between a point and its row of 8 floats
-[re a2, im a2, re c1, ..., im c3], the form the sampler and search use.  These
-conditions are necessary, not sufficient, so the region is a relaxation of
-the true class: suprema computed over it are upper evidence, never
-membership proofs.
+in either a2 mode (_check_a2_mode refuses any other mode for every caller),
+and _region_rows its one sampler, an array transform of uniforms into points.
+One loop feeds it: sample_rows_per_stream takes one point from each of many
+streams, as a campaign draws its restarts, and consumes each stream exactly as
+one-at-a-time draws would; sample_point is its one-stream call, and n points
+from one stream are that Generator listed n times.  _point and _rows convert
+between a point and its row of 8 floats [re a2, im a2, re c1, ..., im c3], the
+form the sampler and search use.  These conditions are necessary, not
+sufficient, so the region is a relaxation of the true class: suprema computed
+over it are upper evidence, never membership proofs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -80,6 +84,9 @@ ARGMAX_TIE_TOL = 1e-8
 #: Most samples (radii times samples per circle) one defect check may take.
 MEMBERSHIP_SAMPLE_CAP = 1_000_000
 
+#: Samples per circle of a defect check unless asked otherwise.
+DEFAULT_SAMPLES = 256
+
 
 class UnknownName(KeyError):
     """Name not present in the function catalog."""
@@ -92,6 +99,19 @@ class EvaluationFailure(ArithmeticError):
 
 class CrossCheckFailed(ArithmeticError):
     """Two independent routes to the same number disagree beyond their tolerance."""
+
+
+def _integer(name: str, value, least: int, below: float = math.inf) -> int:
+    """value as a plain int (numpy integers too, bools not) in [least, below), else ValueError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= n < below:
+        raise ValueError(f"{name} must be in [{least}, {below}), got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -252,6 +272,12 @@ def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, within_caps(*coefficient_quintet(z[..., 0], z[..., 1], z[..., 2], z[..., 3]))
 
 
+def _check_a2_mode(a2_mode: str) -> None:
+    """The one check that a2_mode names a mode of the region, else ValueError."""
+    if a2_mode not in A2_MODES:
+        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
+
+
 def sample_rows_per_stream(rngs, a2_mode: str = "free") -> np.ndarray:
     """One region point from each stream, as rows of 8 floats [re a2, im a2,
     re c1, ..., im c3]: row i is sample_point(rngs[i], a2_mode).  Each round
@@ -262,8 +288,7 @@ def sample_rows_per_stream(rngs, a2_mode: str = "free") -> np.ndarray:
     calls on it, and is left where those calls leave it; only the order of
     the rows may differ.
     """
-    if a2_mode not in A2_MODES:
-        raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
+    _check_a2_mode(a2_mode)
     width = 8 if a2_mode == "free" else 6
     x = np.empty((len(rngs), 8))
     todo = np.arange(len(rngs))
@@ -301,7 +326,9 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
 
 def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
     """Why point lies outside the a2 mode's search region, None if inside:
-    schwarz_feasible, in zero mode a2 == 0 exactly, and the caps."""
+    schwarz_feasible, in zero mode a2 == 0 exactly, and the caps.  An
+    unknown a2_mode raises ValueError."""
+    _check_a2_mode(a2_mode)
     p = point.schwarz
     if not schwarz_feasible(p).feasible:
         return f"violates the region inequalities: {p}"
@@ -312,39 +339,35 @@ def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
     return None
 
 
-def _series_coefficients(pt: UParamPoint, m: int) -> tuple[complex, ...]:
-    """Coefficients a1..am via series inversion of z/f.
-
-    z/f is the explicit quartic 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4, padded
-    with zeros to order m-1, whose reciprocal is f/z = a1 + a2 z + ...
+def _coefficient_routes(a2: complex, c1: complex, c2: complex, c3: complex,
+                        m: int) -> tuple[tuple, tuple, tuple]:
+    """a1..am two ways: the polynomial map's a1..a5 (the first m of them), the
+    series reciprocal of z/f = 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4 (zero-padded
+    to order m-1), f/z = a1 + a2 z + ...; and |map - series| at each shared ak.
     """
-    p = pt.schwarz
-    lead = [1.0, -pt.a2, -p.c1, -p.c2, -p.c3]
-    coeffs = (lead + [0.0] * max(0, m - len(lead)))[:m]
-    recip = series_reciprocal(TruncatedSeries(tuple(coeffs)))
-    return recip.coeffs
+    lead = [1.0, -a2, -c1, -c2, -c3]
+    series = series_reciprocal(TruncatedSeries(tuple((lead + [0.0] * max(0, m - 5))[:m]))).coeffs
+    direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))[:m]
+    return direct, series, tuple(abs(x - y) for x, y in zip(direct, series))
 
 
 def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
     """Window (a1..am) for a parameter point.
 
-    For m <= 5 the polynomial map and the series-inversion route are both
-    evaluated and must agree to MAP_AGREEMENT_TOL, else CrossCheckFailed is
-    raised; the polynomial values are returned.  For larger m only the series
-    route applies.
+    The polynomial map and the series-inversion route (_coefficient_routes)
+    must agree to MAP_AGREEMENT_TOL on a1..a5, else CrossCheckFailed is
+    raised; for m <= 5 the polynomial values are returned, for larger m the
+    series route's.
     """
     if m < 1:
         raise ValueError(f"window length must be >= 1, got {m}")
-    via_series = _series_coefficients(pt, m)
     p = pt.schwarz
-    a3, a4, a5 = coefficient_quintet(pt.a2, p.c1, p.c2, p.c3)
-    direct = (1.0, pt.a2, a3, a4, a5)[:m]
-    for k, (x, y) in enumerate(zip(direct, via_series), start=1):
-        if not abs(x - y) <= MAP_AGREEMENT_TOL:
-            raise CrossCheckFailed(f"coefficient routes disagree at a{k}: {x} vs {y}")
-    if m <= 5:
-        return CoefficientWindow(direct)
-    return CoefficientWindow(via_series)
+    direct, series, gaps = _coefficient_routes(pt.a2, p.c1, p.c2, p.c3, m)
+    for k, gap in enumerate(gaps, start=1):
+        if not gap <= MAP_AGREEMENT_TOL:
+            raise CrossCheckFailed(
+                f"coefficient routes disagree at a{k}: {direct[k - 1]} vs {series[k - 1]}")
+    return CoefficientWindow(direct if m <= 5 else series)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +477,7 @@ class DefectReport:
 def membership_max_defect(
     evaluator: Callable[[complex], complex],
     radii: Iterable[float],
-    samples_per_circle: int = 256,
+    samples_per_circle: int = DEFAULT_SAMPLES,
 ) -> DefectReport:
     """Sample the defect on circles of the given radii.
 
@@ -470,17 +493,17 @@ def membership_max_defect(
     whose defect ties the maximum to ARGMAX_TIE_TOL, so it does not move
     with the rounding of a flat defect.
 
-    Raises ValueError if more than MEMBERSHIP_SAMPLE_CAP samples are asked
-    for in total, and EvaluationFailure if f fails or vanishes at a sample
-    or the defect is non-finite there.
+    Raises ValueError if samples_per_circle is not an integer >= 8 or if more
+    than MEMBERSHIP_SAMPLE_CAP samples are asked for in total, and
+    EvaluationFailure if f fails or vanishes at a sample or the defect is
+    non-finite there.
     """
     radii = tuple(radii)
     if not radii:
         raise ValueError("need at least one radius")
     if any(not (0.0 < r < 1.0) for r in radii):
         raise ValueError(f"radii must lie strictly inside (0, 1), got {radii}")
-    if samples_per_circle < 8:
-        raise ValueError(f"need at least 8 samples per circle, got {samples_per_circle}")
+    samples_per_circle = _integer("samples_per_circle", samples_per_circle, 8)
     if len(radii) * samples_per_circle > MEMBERSHIP_SAMPLE_CAP:
         raise ValueError(
             f"{len(radii)} radii x {samples_per_circle} samples exceeds the cap of "

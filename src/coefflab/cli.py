@@ -22,7 +22,8 @@ failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
 cross-check); either prints one line, error: and the message, on stderr.
 report's map oracle lists its one Generator once per point in
-class_u.sample_rows_per_stream; its max over the points ignores their order.
+class_u.sample_rows_per_stream and keeps the largest gap of class_u's one
+map-vs-series comparison, a max that ignores the points' order.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from .bound_calculus import (
 )
 from .class_u import (
     CATALOG_NAMES,
+    DEFAULT_SAMPLES,
     CrossCheckFailed,
     EvaluationFailure,
     UnknownName,
+    _coefficient_routes,
     catalog,
-    coefficient_quintet,
     membership_max_defect,
     named_evaluator,
     sample_rows_per_stream,
@@ -73,14 +75,12 @@ from .search import (
     catalog_witness,
     objective_reference,
 )
-from .series import TruncatedSeries, series_reciprocal
 
 #: Tolerance for "campaign stayed at or under its reference bound".
 REFERENCE_SLACK = 1e-6
 
 #: Default radii for membership sampling.
 DEFAULT_RADII = (0.9, 0.99)
-DEFAULT_SAMPLES = 256
 
 #: Seeds for the report's oracle sweeps (documented in the README).
 ORACLE_WINDOW_SEED = 1357
@@ -416,10 +416,7 @@ def _report_map_oracle() -> dict:
     rows = sample_rows_per_stream([np.random.default_rng(ORACLE_MAP_SEED)] * ORACLE_COUNT, "free")
     worst = 0.0
     for a2, c1, c2, c3 in rows.view(complex).tolist():
-        direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))
-        recip = series_reciprocal(TruncatedSeries((1.0, -a2, -c1, -c2, -c3)))
-        for x, y in zip(direct, recip.coeffs):
-            worst = max(worst, abs(x - y))
+        worst = max(worst, *_coefficient_routes(a2, c1, c2, c3, 5)[2])
     return {"points": ORACLE_COUNT, "seed": ORACLE_MAP_SEED, "max_delta": worst}
 
 

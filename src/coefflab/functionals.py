@@ -7,7 +7,8 @@ are, with 1-based matrix indices,
     H(q, n): q x q Hankel matrix,             entry (i, j) = a_{n+i+j-2}
 
 Seven low-order determinants additionally have explicit polynomial forms in
-a2..a5.  Keeping both routes alive gives every caller a built-in cross-check:
+a2..a5, in a table keyed by their DeterminantId.  Keeping both routes alive
+gives every caller a built-in cross-check:
 
     T(2,2) = a2^2 - a3^2
     T(2,3) = a3^2 - a4^2
@@ -89,10 +90,6 @@ class DeterminantId:
             return self.n + self.q - 1
         return self.n + 2 * (self.q - 1)
 
-    @property
-    def key(self) -> tuple[str, int, int]:
-        return (self.kind, self.q, self.n)
-
     def __str__(self) -> str:
         return f"{self.kind}{self.q},{self.n}"
 
@@ -104,26 +101,27 @@ class DeterminantId:
         return cls(m.group(1), int(m.group(2)), int(m.group(3)))
 
 
-# Explicit polynomial identities for the seven supported determinants.
-# Arguments are a2..a5; a1 = 1 is baked into the T(3,1) constant term.
-_CLOSED_FORMS: dict[tuple[str, int, int], Callable[..., complex]] = {
-    ("T", 2, 2): lambda a2, a3, a4, a5: a2 * a2 - a3 * a3,
-    ("T", 2, 3): lambda a2, a3, a4, a5: a3 * a3 - a4 * a4,
-    ("T", 3, 1): lambda a2, a3, a4, a5: 1.0 - 2.0 * a2 * a2 + 2.0 * a2 * a2 * a3 - a3 * a3,
-    ("T", 3, 2): lambda a2, a3, a4, a5: (a2 - a4) * (a2 * a2 - 2.0 * a3 * a3 + a2 * a4),
-    ("T", 3, 3): lambda a2, a3, a4, a5: (a3 - a5) * (a3 * a3 - 2.0 * a4 * a4 + a3 * a5),
-    ("H", 2, 2): lambda a2, a3, a4, a5: a2 * a4 - a3 * a3,
-    ("H", 2, 3): lambda a2, a3, a4, a5: a3 * a5 - a4 * a4,
+# Explicit polynomial identities for the seven supported determinants, keyed
+# by id in sorted order.  Arguments are a2..a5; a1 = 1 is baked into the
+# T(3,1) constant term.
+_CLOSED_FORMS: dict[DeterminantId, Callable[..., complex]] = {
+    DeterminantId.parse(text): fn for text, fn in (
+        ("H2,2", lambda a2, a3, a4, a5: a2 * a4 - a3 * a3),
+        ("H2,3", lambda a2, a3, a4, a5: a3 * a5 - a4 * a4),
+        ("T2,2", lambda a2, a3, a4, a5: a2 * a2 - a3 * a3),
+        ("T2,3", lambda a2, a3, a4, a5: a3 * a3 - a4 * a4),
+        ("T3,1", lambda a2, a3, a4, a5: 1.0 - 2.0 * a2 * a2 + 2.0 * a2 * a2 * a3 - a3 * a3),
+        ("T3,2", lambda a2, a3, a4, a5: (a2 - a4) * (a2 * a2 - 2.0 * a3 * a3 + a2 * a4)),
+        ("T3,3", lambda a2, a3, a4, a5: (a3 - a5) * (a3 * a3 - 2.0 * a4 * a4 + a3 * a5)),
+    )
 }
 
-SUPPORTED_CLOSED_FORM_IDS: tuple[DeterminantId, ...] = tuple(
-    DeterminantId(kind, q, n) for (kind, q, n) in sorted(_CLOSED_FORMS)
-)
+SUPPORTED_CLOSED_FORM_IDS: tuple[DeterminantId, ...] = tuple(_CLOSED_FORMS)
 
 
-def _require_window(w: CoefficientWindow, needed: int, what: str) -> None:
-    if w.m < needed:
-        raise WindowTooShort(f"{what} needs a window of length >= {needed}, got {w.m}")
+def _require_window(w: CoefficientWindow, det: DeterminantId) -> None:
+    if w.m < det.min_window:
+        raise WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {w.m}")
 
 
 def _det_cofactor(m: list[list[complex]], q: int) -> complex:
@@ -153,7 +151,7 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     Cofactor expansion for q <= 3 keeps small cases exact and dependency-free;
     q >= 4 goes through LU with partial pivoting (numpy).
     """
-    _require_window(w, det.min_window, str(det))
+    _require_window(w, det)
     if det.q <= 3:
         return _det_cofactor(_entries(w, det), det.q)
     return complex(np.linalg.det(np.array(_entries(w, det), dtype=complex)))
@@ -161,7 +159,7 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
 
 def closed_form_function(det: DeterminantId) -> Callable[..., complex]:
     """The polynomial identity for a supported id, as callable(a2, a3, a4, a5)."""
-    fn = _CLOSED_FORMS.get(det.key)
+    fn = _CLOSED_FORMS.get(det)
     if fn is None:
         raise UnsupportedId(f"no closed form for {det}")
     return fn
@@ -170,6 +168,6 @@ def closed_form_function(det: DeterminantId) -> Callable[..., complex]:
 def closed_form(w: CoefficientWindow, det: DeterminantId) -> complex:
     """Evaluate the polynomial identity for one of the seven supported ids."""
     fn = closed_form_function(det)
-    _require_window(w, det.min_window, str(det))
+    _require_window(w, det)
     padded = w.a + (0j,) * (5 - w.m) if w.m < 5 else w.a
     return fn(padded[1], padded[2], padded[3], padded[4])

@@ -53,7 +53,6 @@ sizes.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,8 @@ from .class_u import (
     A2_MODES,
     CrossCheckFailed,
     UParamPoint,
+    _check_a2_mode,
+    _integer,
     _point,
     _rows,
     catalog,
@@ -109,25 +110,11 @@ class Objective:
 
     def __post_init__(self) -> None:
         closed_form_function(self.det)  # raises UnsupportedId outside the table
-        if self.a2_mode not in A2_MODES:
-            raise ValueError(f"a2_mode must be one of {A2_MODES}, got {self.a2_mode!r}")
+        _check_a2_mode(self.a2_mode)
 
     @property
     def label(self) -> str:
         return f"{self.det}|{self.a2_mode}"
-
-
-def _integer(name: str, value, least: int, below: float = math.inf) -> int:
-    """value as a plain int (numpy integers too, bools not) in [least, below), else ValueError."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not least <= n < below:
-        raise ValueError(f"{name} must be in [{least}, {below}), got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -315,10 +302,10 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
 # ---------------------------------------------------------------------------
 
 _LEDGER_BY_OBJECTIVE = {
-    ("H", 2, 2, "free"): "U.H22",
-    ("H", 2, 2, "zero"): "U.H22",
-    ("H", 2, 3, "free"): "U.H23",
-    ("H", 2, 3, "zero"): "U.H23_a2zero",
+    Objective(DeterminantId("H", 2, 2), "free"): "U.H22",
+    Objective(DeterminantId("H", 2, 2), "zero"): "U.H22",
+    Objective(DeterminantId("H", 2, 3), "free"): "U.H23",
+    Objective(DeterminantId("H", 2, 3), "zero"): "U.H23_a2zero",
 }
 
 
@@ -328,9 +315,7 @@ def objective_reference(objective: Objective) -> tuple[str, str, float]:
     kind is 'chain' (the class-U chain for the same determinant and a2 mode)
     or 'ledger' (bare constant, for the Hankel objectives, which have no chain).
     """
-    key = (*objective.det.key, objective.a2_mode)
-    if key in _LEDGER_BY_OBJECTIVE:
-        tid = _LEDGER_BY_OBJECTIVE[key]
+    if (tid := _LEDGER_BY_OBJECTIVE.get(objective)) is not None:
         return ("ledger", tid, constant(tid).value)
     det, a2_zero = str(objective.det), objective.a2_mode == "zero"
     chain = next(

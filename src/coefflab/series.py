@@ -8,6 +8,7 @@ polynomial of a parameter point into the coefficients of f/z.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 #: Constant terms smaller than this are treated as non-invertible.
@@ -22,7 +23,7 @@ class ZeroConstantTerm(ValueError):
 class TruncatedSeries:
     """Coefficients ``c0..cN`` of ``sum c_k z^k``, truncated at order ``N``.
 
-    The tuple always holds exactly ``order + 1`` entries.
+    The tuple always holds exactly ``order + 1`` entries, all finite.
     """
 
     coeffs: tuple[complex, ...]
@@ -31,6 +32,8 @@ class TruncatedSeries:
         coeffs = tuple(complex(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
+        if not all(map(cmath.isfinite, coeffs)):
+            raise ValueError(f"series coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -45,7 +48,8 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse at the same order.
 
     Uses the forward recursion ``b0 = 1/c0``,
-    ``b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}``.
+    ``b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}``.  An inversion that
+    overflows raises ValueError, as a TruncatedSeries must be finite.
     """
     c0 = s.coeffs[0]
     if abs(c0) < ZERO_TERM_THRESHOLD:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import coefflab.class_u as class_u
+from coefflab.series import TruncatedSeries
 from coefflab.class_u import (
     CATALOG_NAMES,
     CrossCheckFailed,
@@ -107,6 +108,12 @@ class TestRegionViolation:
         near = UParamPoint(5e-13, SchwarzParams(0.3, 0.1, 0.05))
         assert region_violation(near, "free") is None
         assert region_violation(near, "zero").startswith("needs a2 = 0")
+
+    @pytest.mark.parametrize("mode", ["pinned", "Free", None])
+    def test_unknown_mode_rejected(self, mode):
+        # refused with the sampler's message, not read as free
+        with pytest.raises(ValueError, match="a2_mode must be one of"):
+            region_violation(catalog("f1").param, mode)
 
     def test_caps(self):
         # a2 = 2, c1 = 1 meets every inequality but gives |a3| = 5 > 3
@@ -251,15 +258,26 @@ class TestCoefficientMap:
             UParamPoint(bad, SchwarzParams(0, 0, 0))
 
     def test_route_disagreement_raises(self, monkeypatch):
-        real = class_u._series_coefficients
+        # drift the series route of _coefficient_routes at a3: its gap shows
+        # the drift, and u_coefficients refuses the point
+        real = class_u.series_reciprocal
 
-        def drifted(pt, m):
-            a = real(pt, m)
-            return a[:2] + (a[2] + 1e-6,) + a[3:]
+        def drifted(s):
+            a = real(s).coeffs
+            return TruncatedSeries(a[:2] + (a[2] + 1e-6,) + a[3:])
 
-        monkeypatch.setattr(class_u, "_series_coefficients", drifted)
+        monkeypatch.setattr(class_u, "series_reciprocal", drifted)
+        direct, series, gaps = class_u._coefficient_routes(2j, 1, 0, 0, 5)
+        assert direct == (1.0, 2j, -3, -4j, 5) and series[2] == -3 + 1e-6
+        assert gaps[2] == pytest.approx(1e-6) and gaps[:2] + gaps[3:] == (0, 0, 0, 0)
         with pytest.raises(CrossCheckFailed, match="a3"):
             u_coefficients(F1_POINT, 5)
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 8])
+    def test_routes_share_the_first_five(self, m):
+        direct, series, gaps = class_u._coefficient_routes(2j, 1, 0, 0, m)
+        assert len(direct) == len(gaps) == min(m, 5) and len(series) == m
+        assert max(gaps) <= 1e-15
 
 
 def test_map_and_series_agree_on_sampled_points():
@@ -379,6 +397,15 @@ class TestMembership:
             membership_max_defect(catalog("f1").evaluator, (1.0,), 64)
         with pytest.raises(ValueError):
             membership_max_defect(catalog("f1").evaluator, (0.5,), 4)
+
+    @pytest.mark.parametrize("samples", [16.0, 8.5, "16", None])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValueError, match="integer"):
+            membership_max_defect(catalog("f1").evaluator, (0.5,), samples)
+
+    def test_integer_like_samples_run(self):
+        rep = membership_max_defect(catalog("f1").evaluator, (0.5,), np.int64(16))
+        assert rep == membership_max_defect(catalog("f1").evaluator, (0.5,), 16)
 
     def test_sample_cap(self, monkeypatch):
         monkeypatch.setattr(class_u, "MEMBERSHIP_SAMPLE_CAP", 32)

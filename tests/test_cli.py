@@ -1,6 +1,7 @@
 """CLI surface: parsing, payload shapes, exit codes, format stability."""
 
 import csv
+import inspect
 import io
 import json
 
@@ -237,6 +238,14 @@ class TestMembership:
         code, out, _ = run(capsys, "membership", "--function", "koebe")
         assert code == 0
         assert json.loads(out)["results"]["radii"] == [0.9, 0.99]
+
+    def test_default_samples_come_from_class_u(self, capsys):
+        default = inspect.signature(class_u.membership_max_defect).parameters[
+            "samples_per_circle"].default
+        assert cli.DEFAULT_SAMPLES == class_u.DEFAULT_SAMPLES == default == 256
+        code, out, _ = run(capsys, "membership", "--function", "f2")
+        assert code == 0
+        assert json.loads(out)["results"]["samples"] == 256
 
     def test_exit_2_on_bad_radius(self, capsys):
         code = run(capsys, "membership", "--function", "f1", "--radius", "1.5")[0]

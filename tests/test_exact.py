@@ -30,7 +30,7 @@ def definition(kind: str, q: int, n: int) -> sympy.Expr:
 @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
 def test_closed_form_is_the_determinant(det):
     poly = sympy.nsimplify(closed_form_function(det)(A2, A3, A4, A5))
-    assert sympy.expand(poly - definition(*det.key)) == 0
+    assert sympy.expand(poly - definition(det.kind, det.q, det.n)) == 0
 
 
 def test_coefficient_quintet_is_the_series_reciprocal():

@@ -44,7 +44,8 @@ class TestWindow:
 class TestDeterminantId:
     def test_parse(self):
         assert DeterminantId.parse("T2,2") == DeterminantId("T", 2, 2)
-        assert DeterminantId.parse("H2,3").key == ("H", 2, 3)
+        h23 = DeterminantId.parse("H2,3")
+        assert (h23.kind, h23.q, h23.n) == ("H", 2, 3)
         assert str(DeterminantId.parse(" T3,1 ")) == "T3,1"
 
     @pytest.mark.parametrize("bad", ["X2,2", "T2", "T0,1", "T2,0", "22", "T-1,2"])
@@ -102,6 +103,23 @@ class TestHankelHandValues:
         # Hankel matrix of the linear sequence a_k = k has rank 2
         long_koebe = CoefficientWindow(tuple(range(1, 9)))
         assert det_value(long_koebe, DeterminantId("H", 4, 2)) == pytest.approx(0, abs=1e-9)
+
+
+class TestClosedFormTable:
+    def test_the_id_is_its_own_key(self):
+        assert not hasattr(DeterminantId("T", 2, 2), "key")
+
+    def test_supported_ids_in_sorted_order(self):
+        assert [str(d) for d in SUPPORTED_CLOSED_FORM_IDS] == [
+            "H2,2", "H2,3", "T2,2", "T2,3", "T3,1", "T3,2", "T3,3"]
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
+    def test_parsed_and_constructed_ids_find_the_same_form(self, det):
+        # the table is keyed by the id itself, so equal ids are one key
+        parsed = DeterminantId.parse(str(det))
+        built = DeterminantId(det.kind, det.q, det.n)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert closed_form_function(parsed) is closed_form_function(built)
 
 
 class TestErrors:

@@ -333,6 +333,14 @@ class TestReference:
         assert objective_reference(Objective(DeterminantId.parse(det_text), mode))[:2] == (
             kind, ref_id)
 
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
+    @pytest.mark.parametrize("mode", A2_MODES)
+    def test_parsed_and_constructed_ids_agree(self, det, mode):
+        # the ledger table is keyed by the objective itself
+        parsed = Objective(DeterminantId.parse(str(det)), mode)
+        built = Objective(DeterminantId(det.kind, det.q, det.n), mode)
+        assert objective_reference(parsed) == objective_reference(built)
+
 
 class TestCampaign:
     def test_deterministic_rerun(self):

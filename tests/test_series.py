@@ -31,6 +31,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TruncatedSeries(())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))],
+                             ids=["nan", "inf", "-infj"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TruncatedSeries((1, bad, 2))
+
     def test_coerces_to_complex(self):
         s = TruncatedSeries((1, 2, 3))
         assert all(isinstance(c, complex) for c in s.coeffs)
@@ -79,6 +85,16 @@ class TestReciprocal:
         # 1/(1-z)^2 has coefficients n+1
         s = TruncatedSeries((1, -2, 1, 0, 0))
         assert close(series_reciprocal(s), (1, 2, 3, 4, 5))
+
+    def test_nan_input_is_not_inverted(self):
+        # no NaN coefficients come back from a NaN input
+        with pytest.raises(ValueError, match="finite"):
+            series_reciprocal(TruncatedSeries((1, float("nan"), 2)))
+
+    def test_overflow_raises(self):
+        # b_k grows like 1e300 ** k / 1e-11 ** (k + 1) and overflows at b_1
+        with pytest.raises(ValueError, match="finite"):
+            series_reciprocal(TruncatedSeries((1e-11, 1e300, 0)))
 
     def test_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):

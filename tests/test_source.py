@@ -58,3 +58,39 @@ def test_sampler_and_row_conversion_have_one_home():
     }
     assert not defined & {"_point", "_rows"}
     assert {"_point", "_rows"} <= imported
+
+
+def _imported_names(tree: ast.AST) -> dict[str, str]:
+    """Each name an import binds, mapped to the module it comes from."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name.split(".")[0], a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((a.asname or a.name, node.module or "") for a in node.names)
+    return names
+
+
+#: Names a module imports only to re-export them, as its docstring says:
+#: search re-exports class_u's sampler and a2 modes.
+_RE_EXPORTS = {"search.py": {"sample_point", "A2_MODES"}}
+
+
+def test_every_imported_name_is_used():
+    # a simplification that deletes the last use of an import leaves it stranded
+    stranded = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # the package's public surface
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = set(_imported_names(tree)) - used - _RE_EXPORTS.get(path.name, set())
+        stranded += [f"{path.name}: {name}" for name in sorted(unused)]
+    assert stranded == []
+
+
+def test_cli_compares_no_coefficient_routes_itself():
+    # the map oracle goes through class_u's one map-vs-series comparison
+    names = _imported_names(ast.parse((PACKAGE / "cli.py").read_text()))
+    assert not [name for name, module in names.items() if module == "series"]
+    assert names["_coefficient_routes"] == "class_u"
