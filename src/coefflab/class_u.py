@@ -32,10 +32,11 @@ The region lives here alone, each bound written once: pull_back is its one
 projection, within_caps its one cap check, region_violation its one predicate
 in either a2 mode (_check_a2_mode refuses any other mode for every caller),
 and _region_rows its one sampler, an array transform of uniforms into points.
-One loop feeds it: sample_rows_per_stream takes one point from each of many
-streams, as a campaign draws its restarts, and consumes each stream exactly as
-one-at-a-time draws would; sample_point is its one-stream call, and n points
-from one stream are that Generator listed n times.  _point and _rows convert
+One rejection loop feeds it, _sample_rows, from a uniform source
+draw(todo, width): either one Generator for every row (_generator_draw, one
+rng.random call per round), as sample_point and the report's map oracle draw,
+or one stream per row, as a campaign draws its restarts from
+streams.RestartStreams.  _point and _rows convert
 between a point and its row of 8 floats [re a2, im a2, re c1, ..., im c3], the
 form the sampler and search use.  These conditions are necessary, not
 sufficient, so the region is a relaxation of the true class: suprema computed
@@ -278,25 +279,33 @@ def _check_a2_mode(a2_mode: str) -> None:
         raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
 
 
-def sample_rows_per_stream(rngs, a2_mode: str = "free") -> np.ndarray:
-    """One region point from each stream, as rows of 8 floats [re a2, im a2,
-    re c1, ..., im c3]: row i is sample_point(rngs[i], a2_mode).  Each round
-    takes one attempt, two uniforms per disc (a2's skipped in zero mode),
-    from every stream still missing its point, through one _region_rows call.
-
-    A Generator listed n times gives exactly the points of n sample_point
-    calls on it, and is left where those calls leave it; only the order of
-    the rows may differ.
+def _sample_rows(draw, n: int, a2_mode: str = "free") -> np.ndarray:
+    """n region points as rows of 8 floats [re a2, im a2, re c1, ..., im c3],
+    from the uniform source draw.  Each round takes one attempt for every row
+    still missing its point, through one _region_rows call: draw(todo, width)
+    returns a (len(todo), width) array of uniforms for the rows todo, two per
+    disc (a2's skipped in zero mode, width 6 instead of 8).  Rows whose
+    attempt breaks a cap are drawn again in the next round.
     """
     _check_a2_mode(a2_mode)
     width = 8 if a2_mode == "free" else 6
-    x = np.empty((len(rngs), 8))
-    todo = np.arange(len(rngs))
+    x = np.empty((n, 8))
+    todo = np.arange(n)
     while len(todo):
-        got, ok = _region_rows(np.array([rngs[i].random(width) for i in todo]))
+        got, ok = _region_rows(draw(todo, width))
         x[todo[ok]] = got[ok]
         todo = todo[~ok]
     return x
+
+
+def _generator_draw(rng: np.random.Generator):
+    """rng as one uniform source for every row of _sample_rows: each round is
+    one rng.random call, which consumes the stream exactly as one
+    rng.random(width) call per attempt, in row order, would.  So n rows drawn
+    from it are the points of n sample_point calls on rng, in another order,
+    and rng is left where those calls leave it.
+    """
+    return lambda todo, width: rng.random((len(todo), width))
 
 
 def _point(row: np.ndarray) -> UParamPoint:
@@ -318,10 +327,9 @@ def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint
     Draws violating a class coefficient cap are rejected and redrawn from the
     same stream, which keeps the construction deterministic per stream.  In
     zero mode the caps can never bind, so the first draw is returned.  The
-    one-stream call of sample_rows_per_stream; to draw n points from rng,
-    list it n times there.
+    one-row call of _sample_rows with rng as its source (_generator_draw).
     """
-    return _point(sample_rows_per_stream([rng], a2_mode)[0])
+    return _point(_sample_rows(_generator_draw(rng), 1, a2_mode)[0])
 
 
 def region_violation(point: UParamPoint, a2_mode: str) -> str | None:

@@ -21,9 +21,9 @@ written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
 cross-check); either prints one line, error: and the message, on stderr.
-report's map oracle lists its one Generator once per point in
-class_u.sample_rows_per_stream and keeps the largest gap of class_u's one
-map-vs-series comparison, a max that ignores the points' order.
+report's map oracle draws its points from one Generator through class_u's
+rejection loop, one rng.random call per round, and keeps the largest gap of
+class_u's one map-vs-series comparison, a max that ignores the points' order.
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ from .class_u import (
     EvaluationFailure,
     UnknownName,
     _coefficient_routes,
+    _generator_draw,
+    _sample_rows,
     catalog,
     membership_max_defect,
     named_evaluator,
-    sample_rows_per_stream,
 )
 from .functionals import (
     SUPPORTED_CLOSED_FORM_IDS,
@@ -413,7 +414,7 @@ def _report_closed_form_oracle() -> dict:
 
 
 def _report_map_oracle() -> dict:
-    rows = sample_rows_per_stream([np.random.default_rng(ORACLE_MAP_SEED)] * ORACLE_COUNT, "free")
+    rows = _sample_rows(_generator_draw(np.random.default_rng(ORACLE_MAP_SEED)), ORACLE_COUNT)
     worst = 0.0
     for a2, c1, c2, c3 in rows.view(complex).tolist():
         worst = max(worst, *_coefficient_routes(a2, c1, c2, c3, 5)[2])

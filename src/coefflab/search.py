@@ -2,8 +2,8 @@
 region of class_u (the Schwarz-parameter inequalities and the class
 coefficient caps).  Everything found here is relaxation evidence, not a
 membership proof.  The region, its sampler (sample_point, re-exported here
-with A2_MODES, and sample_rows_per_stream, which draws a campaign's starts)
-and its predicate (region_violation) live in class_u.
+with A2_MODES, and the rejection loop _sample_rows, which draws a campaign's
+starts) and its predicate (region_violation) live in class_u.
 
 A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
 re c1, ..., im c3]; class_u's _point and _rows convert between the two
@@ -39,9 +39,12 @@ sampled restarts (each scores its start and then up to refine_budget
 proposals); that product may not exceed EVAL_CAP.
 
 Determinism contract: restart k draws its start from its own RNG stream,
-numpy.random.default_rng([seed, k]).  A block's starts are drawn together,
-each stream consumed exactly as sample_point would consume it, so restart
-k's start is the point sample_point draws from that stream.  Every array
+the uniforms of numpy.random.default_rng([seed, k]).  streams.RestartStreams
+computes a block's streams together in integer arrays, bit for bit those of
+the Generators, without building one; _sample_rows takes one attempt per
+round from each stream still missing its start, so each stream is consumed
+exactly as sample_point would consume its Generator, and restart k's start is
+the point sample_point draws from default_rng([seed, k]).  Every array
 operation of the engine is elementwise, so a chain's result does not depend
 on which chains share its arrays (refine runs the same engine on one chain
 and returns the campaign's value for that start); and the cross-restart
@@ -66,17 +69,18 @@ from .class_u import (
     _integer,
     _point,
     _rows,
+    _sample_rows,
     catalog,
     CATALOG_NAMES,
     coefficient_quintet,
     pull_back,
     region_violation,
     sample_point,
-    sample_rows_per_stream,
     u_coefficients,
     within_caps,
 )
 from .functionals import DeterminantId, closed_form, closed_form_function
+from .streams import RestartStreams
 
 #: Hard cap on restarts * (refine_budget + 1), the evaluations of a campaign's
 #: sampled restarts.
@@ -271,9 +275,10 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
     total = 0
     for lo in range(0, len(indices), _BLOCK):
         block = indices[lo:lo + _BLOCK]
-        rngs = [np.random.default_rng([config.seed, k]) for k in block if k >= 0]
+        ks = np.arange(max(block.start, 0), block.stop)
+        streams = RestartStreams(config.seed, ks)
         starts = np.concatenate([witnesses[lo:lo + _BLOCK],
-                                 sample_rows_per_stream(rngs, objective.a2_mode)])
+                                 _sample_rows(streams, len(ks), objective.a2_mode)])
         x, fx, used = _climb(objective, starts, config.refine_budget)
         total += int(used.sum())
         per.extend(zip(block, fx.tolist()))

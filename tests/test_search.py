@@ -20,10 +20,12 @@ from coefflab.class_u import (
     _c2_bound,
     _c3_bound,
     _point,
+    _generator_draw,
+    _region_rows,
     _rows,
+    _sample_rows,
     coefficient_quintet,
     pull_back,
-    sample_rows_per_stream,
     schwarz_feasible,
     within_caps,
 )
@@ -46,6 +48,7 @@ from coefflab.search import (
     sample_point,
     witness_starts,
 )
+from coefflab.streams import RestartStreams
 
 T22 = Objective(DeterminantId.parse("T2,2"))
 F1_POINT = UParamPoint(2j, SchwarzParams(1, 0, 0))
@@ -195,7 +198,7 @@ class TestSampler:
         # bit for bit though not in order, and is left where those draws leave it
         for n in (0, 1, 2, 1500):
             rng, ref = np.random.default_rng([13, n]), np.random.default_rng([13, n])
-            rows = sample_rows_per_stream([rng] * n, mode)
+            rows = _sample_rows(_generator_draw(rng), n, mode)
             want = _rows([sequential_sample_point(ref, mode) for _ in range(n)]).reshape(n, 8)
             assert rows.shape == (n, 8)
             assert sorted(r.tobytes() for r in rows) == sorted(r.tobytes() for r in want)
@@ -206,14 +209,34 @@ class TestSampler:
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("mode", A2_MODES)
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    def test_one_call_per_round_is_one_call_per_attempt(self, mode, n):
+        # a Generator source draws each round in one rng.random call; that
+        # gives the rows, in order, of one rng.random(width) call per attempt
+        # and leaves the Generator where those calls leave it
+        width = 8 if mode == "free" else 6
+        for seed in range(5):
+            rng, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            want = np.empty((n, 8))
+            todo = np.arange(n)
+            while len(todo):
+                got, ok = _region_rows(np.array([ref.random(width) for _ in todo]))
+                want[todo[ok]] = got[ok]
+                todo = todo[~ok]
+            assert _sample_rows(_generator_draw(rng), n, mode).tobytes() == want.tobytes()
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("mode", A2_MODES)
     def test_per_stream_draws_match_campaign_starts(self, mode):
+        # the restart streams campaign draws from give, for every k, the point
+        # the sequential sampler draws from default_rng([seed, k])
         objective = Objective(DeterminantId.parse("T3,2"), mode)
         config = SearchConfig(seed=21, restarts=700)
-        rows = sample_rows_per_stream(
-            [np.random.default_rng([config.seed, k]) for k in range(config.restarts)], mode)
+        ks = np.arange(config.restarts)
+        rows = _sample_rows(RestartStreams(config.seed, ks), len(ks), mode)
         skip = len(witness_starts(objective))
         assert rows.tobytes() == campaign_starts(objective, config)[skip:].tobytes()
-        assert sample_rows_per_stream([], mode).shape == (0, 8)
+        assert _sample_rows(RestartStreams(config.seed, []), 0, mode).shape == (0, 8)
 
     def test_draws_feasible_and_capped(self):
         # 10^4 draws per a2 mode through the array sampler campaigns run: all
@@ -224,7 +247,7 @@ class TestSampler:
         from coefflab.class_u import u_coefficients
 
         for mode in A2_MODES:
-            rows = sample_rows_per_stream([np.random.default_rng(11)] * 10_000, mode)
+            rows = _sample_rows(_generator_draw(np.random.default_rng(11)), 10_000, mode)
             top = np.zeros(3)
             for a2, c1, c2, c3 in rows.view(complex).tolist():
                 pt = UParamPoint(a2, SchwarzParams(c1, c2, c3))

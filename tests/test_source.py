@@ -34,20 +34,30 @@ def test_search_holds_no_region_bound():
     assert not [n for n in names if "bound" in n or "limit" in n or "RADIUS" in n]
 
 
-def test_sampler_and_row_conversion_have_one_home():
-    # one sampler loop: in class_u only sample_rows_per_stream draws uniforms
-    # from a Generator; and the row <-> point conversion is class_u's, which
-    # search imports rather than defines
-    tree = ast.parse((PACKAGE / "class_u.py").read_text())
-    drawers = {
+def _calling(tree: ast.AST, attr: str) -> set[str]:
+    """The functions of tree that call something named attr, a bare name or an attribute."""
+    return {
         fn.name
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "random"
+        if isinstance(node, ast.Call)
+        and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
     }
-    assert drawers == {"sample_rows_per_stream"}
+
+
+def test_sampler_and_row_conversion_have_one_home():
+    # one sampler loop: in the package only class_u._sample_rows turns
+    # uniforms into points, and in class_u only its Generator source draws
+    # from a Generator; and the row <-> point conversion is class_u's, which
+    # search imports rather than defines
+    tree = ast.parse((PACKAGE / "class_u.py").read_text())
+    assert _calling(tree, "random") == {"_generator_draw"}
+    loops = {
+        path.name: _calling(ast.parse(path.read_text()), "_region_rows")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: fns for name, fns in loops.items() if fns} == {"class_u.py": {"_sample_rows"}}
     tree = ast.parse((PACKAGE / "search.py").read_text())
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     imported = {
@@ -58,6 +68,15 @@ def test_sampler_and_row_conversion_have_one_home():
     }
     assert not defined & {"_point", "_rows"}
     assert {"_point", "_rows"} <= imported
+
+
+def test_search_builds_no_generator():
+    # campaign draws its starts from streams.RestartStreams: no Generator,
+    # no SeedSequence per restart, in search.py at all
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"default_rng", "SeedSequence", "Generator", "PCG64"}
 
 
 def _imported_names(tree: ast.AST) -> dict[str, str]:
