@@ -21,36 +21,35 @@ No point is checked inside the engine: refine checks its start
 class_u.region_violation; campaign's own starts, catalog points and sampler
 draws, lie in the region by construction.
 
-The chains of a campaign run in lockstep, their state (point, value, step,
-position in the sweep, evaluation count) held in numpy arrays.  Each
-iteration scores, in one vectorised pass, every move of each live chain's
-sweep from that chain's current point.  Each chain tries them in cyclic
-order from its position (the rest of its sweep, then the next sweep's moves
-before the position, from the same point and step) and takes the first
-improving one, as the sequential loop would; if none improves, a whole sweep
-has failed and the step halves.  Moves after the taken one are computed but
-never charged: a chain is charged for the moves it tries up to the taken
-one, and for no more than budget + 1 evaluations in all, so evaluations_used
-counts what the sequential loop evaluates.  A campaign takes as many
-iterations as its longest chain has acceptances plus step halvings.
-
-A campaign evaluates at most restarts * (refine_budget + 1) points over its
-sampled restarts (each scores its start and then up to refine_budget
-proposals); that product may not exceed EVAL_CAP.
+The chains of all the jobs of one campaigns() call (campaign runs one job,
+refine one chain) share one lockstep pool of at most _BLOCK live chains,
+whose state (point, value, step, place in the sweep, evaluations left) is
+held in numpy arrays.  Finished chains leave, and the next pending starts,
+drawn a block of _BLOCK at a time in job order, take their slots; so memory
+stays bounded, and the live set stays ordered by job, each objective's
+closed form running on one slice of it.  Each iteration scores, in one
+vectorised pass, every move of each live chain's sweep from its current
+point.  A chain tries them in cyclic order from its position (the rest of
+its sweep, then the next sweep's moves before the position, from the same
+point and step) and takes the first improving one, as the sequential loop
+would; if none improves, a whole sweep has failed and the step halves.
+Tables indexed by the chain's place give that order, the charge and the
+next place.  Moves after the taken one are computed but never charged: a
+chain is charged for the moves it tries up to the taken one, and for no
+more than budget + 1 evaluations in all, so evaluations_used counts what
+the sequential loop evaluates.  A run takes about as many iterations as its
+longest chain has acceptances plus step halvings, plus those its start
+waited for a slot.
 
 Determinism contract: restart k draws its start from its own RNG stream,
-the uniforms of numpy.random.default_rng([seed, k]).  streams.RestartStreams
-computes a block's streams together in integer arrays, bit for bit those of
-the Generators, without building one; _sample_rows takes one attempt per
-round from each stream still missing its start, so each stream is consumed
-exactly as sample_point would consume its Generator, and restart k's start is
-the point sample_point draws from default_rng([seed, k]).  Every array
-operation of the engine is elementwise, so a chain's result does not depend
-on which chains share its arrays (refine runs the same engine on one chain
-and returns the campaign's value for that start); and the cross-restart
-reduction (max value, then lowest restart index) is order independent.
-Results are therefore bit-identical across reruns, restart counts and block
-sizes.
+the uniforms of numpy.random.default_rng([seed, k]), which
+streams.RestartStreams computes bit for bit for a block of restarts in
+integer arrays; _sample_rows consumes each stream exactly as sample_point
+would consume its Generator.  Every array operation of the engine is
+elementwise, so a chain's result does not depend on which chains share the
+pool, and the cross-restart reduction (max value, then lowest restart index)
+is order independent: results are bit-identical across reruns, restart
+counts, pool sizes and the jobs run together.
 """
 
 from __future__ import annotations
@@ -142,24 +141,32 @@ class SearchResult:
     evaluations_used: int
 
 
-def _sweep(first: int) -> np.ndarray:
-    """The moves of one sweep in the order they are tried, as rows that,
-    scaled by the step, are added to a point's 8 floats: +1 and then -1 in
-    float `first`, then in each later float.  Every other entry is -0.0, and
-    x + -0.0 is x bit for bit, so a move changes exactly one float.
-    """
-    moves = np.full((2 * (8 - first), 8), -0.0)
-    for j in range(len(moves)):
-        moves[j, first + j // 2] = -1.0 if j % 2 else 1.0
-    return moves
+#: Each a2 mode's first code and moves per sweep (zero mode leaves out a2's two
+#: floats); a chain's code is its mode's first code plus its place in its sweep.
+_MODES = {"free": (0, 16), "zero": (16, 12)}
 
-
-#: The sweep of each a2 mode: zero mode leaves out a2's four moves.
-_SWEEPS = {"free": _sweep(0), "zero": _sweep(2)}
-
-#: Most chains one lockstep block holds, which bounds a campaign's arrays
-#: however many restarts it has; a chain's result does not depend on its block.
+#: Most chains live in the lockstep pool at once, however many restarts a run has.
 _BLOCK = 256
+
+
+def _code_tables():
+    """Tables indexed by code.  OFFSET[code, c]: how many moves the chain
+    tries before move c of a free sweep (zero mode's are its last 12): the
+    rest of its sweep, then the next sweep's before its position; above 16
+    outside its sweep.  With t the offset taken, 16 if none: CHARGE, t + 1 or
+    the failed sweep's evaluations before the budget cut; NEXT, the code after."""
+    offset = np.full((28, 16), np.iinfo(np.intp).max)
+    charge, nxt = np.zeros((28, 17), np.int64), np.zeros((28, 17), np.intp)
+    for base, w in _MODES.values():
+        for p in range(w):
+            tried = (p + np.arange(w)) % w  # the sweep's moves in the order tried
+            offset[base + p, 16 - w + tried] = np.arange(w)
+            charge[base + p] = [*range(1, 17), w + -p % w]
+            nxt[base + p] = [*base + (np.resize(tried, 16) // 2 * 2 + 2) % w, base]
+    return offset, charge, nxt
+
+
+_OFFSET, _CHARGE, _NEXT = _code_tables()
 
 
 def _values(x: np.ndarray, fn) -> np.ndarray:
@@ -172,50 +179,63 @@ def _values(x: np.ndarray, fn) -> np.ndarray:
     return np.where(within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
 
 
-def _climb(
-    objective: Objective, starts: np.ndarray, budget: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one chain from each start (rows of 8 floats), all in lockstep
-    (see the module docstring); returns each chain's final point (rows of 8
-    floats), value and evaluation count (start included).
+def _pool(tasks):
+    """Run the chains of every task, (objective, budget, blocks) with blocks
+    an iterable of (first chain index, start rows), in one lockstep pool.
+    Yields (task, chains, points, values, evaluations) as chains finish:
+    their indices, final rows, values and evaluations (start included).
     """
-    fn = closed_form_function(objective.det)
-    sweep = _SWEEPS[objective.a2_mode]
-    width = len(sweep)
-    cols = np.arange(width)
-    x = np.array(starts, dtype=float)  # a copy: the final points are written into it
-    fx = _values(x, fn)
-    evals = np.ones(len(starts), dtype=np.int64)
-    ids = np.flatnonzero(evals <= budget)  # the live chains: ids[i] started row i
-    px, pf, pe = x[ids], fx[ids], evals[ids]
-    step = np.full(len(ids), STEP_INIT)
-    pos = np.zeros(len(ids), dtype=np.int64)
-    while len(ids):
-        cand = px[:, None, :] + step[:, None, None] * sweep
+    fns = [closed_form_function(o.det) for o, _, _ in tasks]
+    feed = ((j, first, rows) for j, (_, _, blocks) in enumerate(tasks) for first, rows in blocks)
+    # each chain's task, index, point, value, evaluations it may still make,
+    # step and code; the first _BLOCK chains are live, the rest pending
+    chains, fn = (np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, 8)), np.empty(0),
+                  np.empty(0, np.int64), np.empty(0), np.empty(0, np.intp)), None
+    while True:
+        while len(chains[0]) < _BLOCK and (item := next(feed, None)):
+            task, first, rows = item  # starts are drawn a block at a time, in task order
+            (objective, budget, _), m = tasks[task], len(rows)
+            chains, fn = tuple(map(np.concatenate, zip(chains, (
+                np.full(m, task), np.arange(first, first + m), rows,
+                _values(rows, fns[task]), np.full(m, budget),
+                np.full(m, STEP_INIT), np.full(m, _MODES[objective.a2_mode][0]))))), None
+        done = (chains[5] < STEP_MIN) | (chains[4] < 1)  # a pending chain only if budget 0
+        if done.any():  # finished chains leave; the next pending ones take their slots
+            out = [v[done] for v in chains[:5]]
+            cuts = np.searchsorted(out[0], np.arange(len(tasks) + 1)).tolist()
+            for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                if a < b:
+                    yield j, out[1][a:b], out[2][a:b], out[3][a:b], tasks[j][1] + 1 - out[4][a:b]
+            chains, fn = tuple(v[~done] for v in chains), None
+            continue
+        if not len(chains[0]):
+            return
+        task, _, px, pf, left, step, code = (v[:_BLOCK] for v in chains)
+        if fn is None:  # the live set changed: its width, and each task's rows
+            cuts = np.searchsorted(task, np.arange(len(tasks) + 1)).tolist()
+            parts = [(j, slice(a, b)) for j, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
+            width = max(_MODES[tasks[j][0].a2_mode][1] for j, _ in parts)
+            offset, lead = _OFFSET[:, 16 - width:], 8 - width // 2
+            fn = fns[parts[0][0]] if len(parts) == 1 else lambda *a: np.concatenate(
+                [fns[j](*(v[rows] for v in a)) for j, rows in parts])
+        # move j of the pool moves float lead + j // 2: in each chain's row of
+        # width * 8 floats, the entries 17i + lead by +step, 17i + lead + 8 by -step
+        cand = np.repeat(px, width, axis=0).reshape(-1, width, 8)
+        flat = cand.reshape(len(px), -1)
+        flat[:, lead::17] += step[:, None]
+        flat[:, lead + 8::17] -= step[:, None]
         pull_back(cand.view(complex))
         val = _values(cand, fn)
-        left = budget + 1 - pe  # evaluations the chain may still make, >= 1
-        # the moves in the order tried: the rest of the sweep, then the next's before pos
-        order = (pos[:, None] + cols) % width
-        better = (cols < left[:, None]) & (np.take_along_axis(val, order, 1) > pf[:, None])
-        hit = better.any(axis=1)
-        t = better.argmax(axis=1)  # the offset of the first improving move
-        first = (pos + t) % width
-        took = np.flatnonzero(hit)
-        px[took] = cand[took, first[took]]
-        pf[took] = val[took, first[took]]
-        # no hit: the rest of the sweep fails and, if pos > 0, all of the next;
-        # either way a whole sweep has gone without a move, so the step halves
-        pe += np.where(hit, t + 1, np.minimum(width + -pos % width, left))
-        step[~hit] *= 0.5
-        pos = np.where(hit, (first // 2 * 2 + 2) % width, 0)
-        done = (step < STEP_MIN) | (pe > budget)
-        if done.any():
-            out = ids[done]
-            x[out], fx[out], evals[out] = px[done], pf[done], pe[done]
-            keep = ~done
-            ids, px, pf, pe, step, pos = (v[keep] for v in (ids, px, pf, pe, step, pos))
-    return x, fx, evals
+        key = np.where(val > pf[:, None], offset[code], 16)
+        t = key.min(axis=1)  # the offset of the first improving move, 16 if none
+        t[t >= left] = 16  # past the budget: the chain spends the rest of it on its sweep
+        took = np.flatnonzero(t < 16)
+        move = key[took].argmin(axis=1)
+        px[took] = cand[took, move]
+        pf[took] = val[took, move]
+        left -= np.minimum(_CHARGE[code, t], left)
+        step *= np.where(t < 16, 1.0, 0.5)  # a whole sweep went without a move
+        code[:] = _NEXT[code, t]
 
 
 def refine(
@@ -230,7 +250,8 @@ def refine(
     """
     if (why := region_violation(start, objective.a2_mode)) is not None:
         raise InfeasibleStart(f"start {why}")
-    x, fx, _ = _climb(objective, _rows([start]), _integer("budget", budget, 0))
+    budget = _integer("budget", budget, 0)
+    ((_, _, x, fx, _),) = _pool([(objective, budget, [(0, _rows([start]))])])
     return _point(x[0]), float(fx[0])
 
 
@@ -253,52 +274,67 @@ def witness_starts(objective: Objective) -> tuple[tuple[str, UParamPoint], ...]:
     return tuple((name, entry.param) for name, entry in _catalog_entries(objective))
 
 
-def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
-    """Run witness-seeded chains plus independent seeded restarts; keep the best.
-
-    Catalog witnesses run first under negative restart indices (-W..-1), so
-    sharp attainments such as the |T(2,2)| = 13 point are always in the pool;
-    the cfg.restarts sampled chains follow at indices 0..restarts-1.  Ties
-    keep the lowest index.  The winner is checked twice before it is
-    returned: it must lie in the search region, and its value must agree with
-    the public window route; either failure raises CrossCheckFailed.
+def _starts(witnesses: np.ndarray, config: SearchConfig, a2_mode: str):
+    """A campaign's (first chain index, start rows) in blocks of at most
+    _BLOCK rows, drawn as the pool asks for them: the witnesses, then
+    restart k's point from its stream for k = 0..restarts-1.
     """
-    evals = config.restarts * (config.refine_budget + 1)
-    if evals > EVAL_CAP:
-        raise ValueError(
-            f"restarts * (refine_budget + 1) = {evals} exceeds the evaluation cap {EVAL_CAP}"
-        )
-    witnesses = _rows(pt for _, pt in witness_starts(objective))
     indices = range(-len(witnesses), config.restarts)  # witness j runs as k = j - W
-    best_val = -math.inf
-    per: list[tuple[int, float]] = []
-    total = 0
     for lo in range(0, len(indices), _BLOCK):
         block = indices[lo:lo + _BLOCK]
         ks = np.arange(max(block.start, 0), block.stop)
-        streams = RestartStreams(config.seed, ks)
-        starts = np.concatenate([witnesses[lo:lo + _BLOCK],
-                                 _sample_rows(streams, len(ks), objective.a2_mode)])
-        x, fx, used = _climb(objective, starts, config.refine_budget)
-        total += int(used.sum())
-        per.extend(zip(block, fx.tolist()))
-        i = int(np.argmax(fx))  # the first maximum: ties keep the lowest index
-        if fx[i] > best_val:
-            best_val, best_pt = float(fx[i]), _point(x[i])
+        yield lo, np.concatenate([witnesses[lo:lo + _BLOCK],
+                                  _sample_rows(RestartStreams(config.seed, ks), len(ks), a2_mode)])
 
-    if (why := region_violation(best_pt, objective.a2_mode)) is not None:
-        raise CrossCheckFailed(f"the winner {why}")
-    window = u_coefficients(best_pt, 5)
-    official = abs(closed_form(window, objective.det))
-    if not abs(official - best_val) <= 1e-12:
-        raise CrossCheckFailed(f"fast path and window route disagree: {best_val} vs {official}")
-    return SearchResult(
-        best_value=best_val,
-        best_point=best_pt,
-        best_window=window.a,
-        per_restart=tuple(per),
-        evaluations_used=total,
-    )
+
+def campaigns(jobs) -> list[SearchResult]:
+    """Each (Objective, SearchConfig) job's campaign, in job order, with all
+    of their chains in one lockstep pool.
+
+    A campaign runs witness-seeded chains plus independent seeded restarts
+    and keeps the best.  Catalog witnesses run first under negative restart
+    indices (-W..-1), so sharp attainments such as the |T(2,2)| = 13 point
+    are always in the pool; the sampled chains follow at indices
+    0..restarts-1.  Ties keep the lowest index.  Each winner must lie in the
+    search region and agree with the public window route, else
+    CrossCheckFailed.  Every job is checked before any start is drawn: one
+    whose parts are not an Objective and a SearchConfig, or whose restarts *
+    (refine_budget + 1) exceeds EVAL_CAP, raises ValueError.
+    """
+    jobs = list(jobs)
+    for objective, config in jobs:
+        if not (isinstance(objective, Objective) and isinstance(config, SearchConfig)):
+            raise ValueError(f"a job is (Objective, SearchConfig), got ({objective!r}, {config!r})")
+        if (evals := config.restarts * (config.refine_budget + 1)) > EVAL_CAP:
+            raise ValueError(f"restarts * (refine_budget + 1) = {evals} exceeds the "
+                             f"evaluation cap {EVAL_CAP}")
+    witnesses = [_rows(pt for _, pt in witness_starts(o)) for o, _ in jobs]
+    values = [np.empty(len(w) + c.restarts) for w, (_, c) in zip(witnesses, jobs)]
+    best, totals = [(-math.inf, 0, None)] * len(jobs), [0] * len(jobs)  # value, -chain, point
+    for j, chains, x, fx, used in _pool([(o, c.refine_budget, _starts(w, c, o.a2_mode))
+                                         for w, (o, c) in zip(witnesses, jobs)]):
+        values[j][chains] = fx
+        totals[j] += int(used.sum())
+        i = int(np.argmax(fx))  # the first maximum: ties keep the lowest index
+        best[j] = max(best[j], (float(fx[i]), -int(chains[i]), x[i]), key=lambda b: b[:2])
+    results = []
+    for (objective, config), w, vals, (best_val, _, row), total in zip(
+            jobs, witnesses, values, best, totals):
+        best_pt = _point(row)
+        if (why := region_violation(best_pt, objective.a2_mode)) is not None:
+            raise CrossCheckFailed(f"the winner {why}")
+        window = u_coefficients(best_pt, 5)
+        official = abs(closed_form(window, objective.det))
+        if not abs(official - best_val) <= 1e-12:
+            raise CrossCheckFailed(f"fast path and window route disagree: {best_val} vs {official}")
+        results.append(SearchResult(best_val, best_pt, window.a, tuple(
+            zip(range(-len(w), config.restarts), vals.tolist())), total))
+    return results
+
+
+def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
+    """One job's campaigns() result: see there."""
+    return campaigns([(objective, config)])[0]
 
 
 # ---------------------------------------------------------------------------

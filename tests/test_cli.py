@@ -293,6 +293,11 @@ class TestReport:
         assert verdicts["z+2z3"] == "non-member-witness"
         assert all(v == "evidence-member" for f, v in verdicts.items() if f != "z+2z3")
 
+    def test_exit_2_over_cap_before_any_campaign(self, capsys):
+        code, out, err = run(capsys, "report", "--starts", "10001", "--budget", "1000")
+        assert (code, out) == (2, "")
+        assert "cap" in err
+
     def test_report_csv_sections(self, capsys):
         code, out, _ = run(
             capsys, "report", "--starts", "1", "--budget", "0", "--format", "csv",

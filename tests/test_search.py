@@ -1,10 +1,12 @@
 """Sampler, refiner, and campaign determinism on small configurations."""
 
+import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,9 @@ from coefflab.search import (
     InfeasibleStart,
     Objective,
     SearchConfig,
+    SearchResult,
     campaign,
+    campaigns,
     catalog_witness,
     objective_reference,
     refine,
@@ -114,6 +118,16 @@ def counted_climb(objective, start, budget):
         if not improved:
             step *= 0.5
     return y[0], fy, evals, accepted
+
+
+def pooled(objective, starts, budget):
+    """Every chain of one pool run of the engine from starts (rows of 8
+    floats), in start order: (final points, values, evaluations)."""
+    x, fx = np.empty_like(starts), np.empty(len(starts))
+    evals = np.zeros(len(starts), dtype=np.int64)
+    for _, chains, xs, fs, es in search._pool([(objective, budget, [(0, starts)])]):
+        x[chains], fx[chains], evals[chains] = xs, fs, es
+    return x, fx, evals
 
 
 def campaign_starts(objective, config):
@@ -480,8 +494,9 @@ class TestLockstepEngine:
                 for s in campaign_starts(objective, config)]
         assert [v for _, v in res.per_restart] == [fy for _, fy, _ in runs]
         assert res.evaluations_used == sum(evals for _, _, evals in runs)
-        x, fx, evals = search._climb(objective, campaign_starts(objective, config), budget)
+        x, fx, evals = pooled(objective, campaign_starts(objective, config), budget)
         assert x.tobytes() == np.array([y for y, _, _ in runs]).tobytes()
+        assert fx.tolist() == [fy for _, fy, _ in runs]
         assert evals.tolist() == [e for _, _, e in runs]
 
     def test_oracle_covers_both_stopping_rules(self):
@@ -515,7 +530,7 @@ class TestLockstepEngine:
             _, _, evals, accepted = counted_climb(objective, start, budget)
             assert evals <= budget  # the chain ended by its step schedule
             calls.clear()
-            search._climb(objective, start[None], budget)
+            pooled(objective, start[None], budget)
             assert len(calls) == accepted + halvings
 
     @pytest.mark.parametrize("label", ["T2,3|free", "T3,1|zero"])
@@ -536,3 +551,84 @@ class TestLockstepEngine:
         whole = campaign(T22, config)
         monkeypatch.setattr(search, "_BLOCK", 4)
         assert campaign(T22, config) == whole
+
+
+def by_field(result):
+    """repr of every SearchResult field: bit-level equality of floats and points."""
+    return [repr(getattr(result, f.name)) for f in fields(SearchResult)]
+
+
+def mixed_jobs(budgets):
+    """Jobs over four determinants in both a2 modes, 333 chains in all, so the
+    pool of 256 is refilled mid-run."""
+    specs = [("T2,2", "free", 11, 90), ("T3,2", "zero", 12, 40), ("H2,3", "free", 13, 150),
+             ("T3,3", "zero", 14, 20), ("T3,1", "free", 15, 7)]
+    return [(Objective(DeterminantId.parse(det), mode),
+             SearchConfig(seed=seed, restarts=restarts, refine_budget=budget))
+            for (det, mode, seed, restarts), budget in zip(specs, budgets)]
+
+
+class TestCampaigns:
+    """campaigns runs the chains of all its jobs in one pool; every result is
+    the one campaign returns for that job alone."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 17, 500])
+    def test_equals_standalone_campaigns(self, budget):
+        jobs = mixed_jobs([budget] * 5)
+        assert [by_field(r) for r in campaigns(jobs)] == [by_field(campaign(*job)) for job in jobs]
+
+    def test_jobs_with_different_budgets(self):
+        jobs = mixed_jobs([500, 0, 17, 1, 200])
+        assert [by_field(r) for r in campaigns(jobs)] == [by_field(campaign(*job)) for job in jobs]
+
+    def test_no_jobs(self):
+        assert campaigns([]) == []
+
+    def test_refills_keep_the_pool_bounded(self, monkeypatch):
+        jobs = mixed_jobs([60, 30, 45, 60, 10])
+        alone = [by_field(campaign(*job)) for job in jobs]
+        monkeypatch.setattr(search, "_BLOCK", 5)
+        live = []  # the live chains of each iteration, one pull_back call each
+        finished = []  # the iterations run before each batch of finished chains
+        real_pull_back, real_pool = search.pull_back, search._pool
+        monkeypatch.setattr(search, "pull_back", lambda z: (live.append(len(z)), real_pull_back(z)))
+
+        def pool(tasks):
+            for batch in real_pool(tasks):
+                finished.append(len(live))
+                yield batch
+
+        monkeypatch.setattr(search, "_pool", pool)
+        assert [by_field(r) for r in campaigns(jobs)] == alone
+        assert max(live) == 5
+        # full until the last start is in, then the pool only drains
+        assert live == sorted(live, reverse=True)
+        # chains finished while the pool was full, and their slots were refilled
+        assert any(k < live.count(5) for k in finished)
+
+    def test_bad_late_job_raises_before_any_start_is_drawn(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(search, "RestartStreams", no_draws)
+        good = mixed_jobs([5] * 5)
+        for bad in [(T22, SearchConfig(seed=1, restarts=10_000, refine_budget=10_000)),
+                    (T22, "not a config"), (SearchConfig(seed=1), T22),
+                    ("T2,2", SearchConfig(seed=1))]:
+            with pytest.raises(ValueError, match="cap|Objective, SearchConfig"):
+                campaigns(good + [bad])
+
+    def test_report_rows_equal_standalone_campaigns(self, capsys):
+        from coefflab.cli import _campaign_row, main
+
+        assert main(["report", "--starts", "30", "--budget", "400"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rows = {row.pop("objective"): row for row in doc["results"]["campaigns"]}
+        assert list(rows) == list(DOCUMENTED_SEEDS)
+        for label, seed in DOCUMENTED_SEEDS.items():
+            det, mode = label.split("|")
+            job = (Objective(DeterminantId.parse(det), mode),
+                   SearchConfig(seed=seed, restarts=30, refine_budget=400))
+            row, _ = _campaign_row(*job, campaign(*job))
+            del rows[label]["within_reference"]
+            assert json.loads(json.dumps(row)) == rows[label], label
