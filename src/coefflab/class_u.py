@@ -36,7 +36,7 @@ One rejection loop feeds it, _sample_rows, from a uniform source
 draw(todo, width): either one Generator for every row (_generator_draw, one
 rng.random call per round), as sample_point and the report's map oracle draw,
 or one stream per row, as a campaign draws its restarts from
-streams.RestartStreams.  _point and _rows convert
+search._restart_draw.  _point and _rows convert
 between a point and its row of 8 floats [re a2, im a2, re c1, ..., im c3], the
 form the sampler and search use.  These conditions are necessary, not
 sufficient, so the region is a relaxation of the true class: suprema computed
@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .bound_calculus import constant
-from .functionals import CoefficientWindow
+from .functionals import CoefficientWindow, _integer
 from .series import TruncatedSeries, series_reciprocal
 
 #: Feasibility inequalities are checked with this additive slack.
@@ -100,19 +99,6 @@ class EvaluationFailure(ArithmeticError):
 
 class CrossCheckFailed(ArithmeticError):
     """Two independent routes to the same number disagree beyond their tolerance."""
-
-
-def _integer(name: str, value, least: int, below: float = math.inf) -> int:
-    """value as a plain int (numpy integers too, bools not) in [least, below), else ValueError."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        n = None
-    if n is None or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not least <= n < below:
-        raise ValueError(f"{name} must be in [{least}, {below}), got {n}")
-    return n
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ gives every caller a built-in cross-check:
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -66,12 +68,26 @@ class CoefficientWindow:
         return self.a[k - 1]
 
 
+def _integer(name: str, value, least: int, below: float = math.inf) -> int:
+    """value as a plain int (numpy integers too, bools not) in [least, below), else ValueError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not least <= n < below:
+        raise ValueError(f"{name} must be in [{least}, {below}), got {n}")
+    return n
+
+
 _DET_ID_RE = re.compile(r"^([TH])(\d+),(\d+)$")
 
 
 @dataclass(frozen=True)
 class DeterminantId:
-    """Names one determinant: kind 'T' (Toeplitz) or 'H' (Hankel), size q, offset n."""
+    """Names one determinant: kind 'T' (Toeplitz) or 'H' (Hankel), size q and
+    offset n, integers >= 1 (stored as plain ints; anything else raises ValueError)."""
 
     kind: str
     q: int
@@ -80,8 +96,8 @@ class DeterminantId:
     def __post_init__(self) -> None:
         if self.kind not in ("T", "H"):
             raise ValueError(f"kind must be 'T' or 'H', got {self.kind!r}")
-        if self.q < 1 or self.n < 1:
-            raise ValueError(f"q and n must be >= 1, got q={self.q}, n={self.n}")
+        for name in ("q", "n"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
     @property
     def min_window(self) -> int:

@@ -7,19 +7,20 @@ starts) and its predicate (region_violation) live in class_u.
 
 A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
 re c1, ..., im c3]; class_u's _point and _rows convert between the two
-forms.  Each restart is one chain of coordinate pattern search
-with first-improvement acceptance and a fixed schedule.  A sweep tries +step
-and then -step on each float in turn (zero mode skips a2's two floats); the
-first move that strictly raises the value is taken, and the sweep goes on
-with the next float from the new point.  The step starts at STEP_INIT and
-halves after every sweep without an acceptance, until it drops below
-STEP_MIN or the chain's proposal budget is spent.  Each proposal is pulled
-back into the region by class_u.pull_back (the package's one projection),
-and is scored only if class_u.within_caps (the one cap check) accepts it.
-No point is checked inside the engine: refine checks its start
-(InfeasibleStart) and campaign its winner (CrossCheckFailed) with
-class_u.region_violation; campaign's own starts, catalog points and sampler
-draws, lie in the region by construction.
+forms.  Each restart is one chain of coordinate pattern search with
+first-improvement acceptance.  A sweep tries +step and then -step on each
+float in turn (zero mode skips a2's two floats); the first move that
+strictly raises the value is taken, and the sweep goes on with the next
+float from the new point.  The step starts at STEP_INIT, grows by 1.5 after
+every accepted move, up to STEP_INIT, and halves after every sweep without
+one (the expansion and contraction of generating set search), until it
+drops below STEP_MIN or the chain's proposal budget is spent.  Each
+proposal is pulled back into the region by class_u.pull_back (the
+package's one projection), and is scored only if class_u.within_caps (the
+one cap check) accepts it.  No point is checked inside the engine: refine
+checks its start (InfeasibleStart) and campaign its winner
+(CrossCheckFailed) with class_u.region_violation; campaign's own starts,
+catalog points and sampler draws, lie in the region by construction.
 
 The chains of all the jobs of one campaigns() call (campaign runs one job,
 refine one chain) share one lockstep pool of at most _BLOCK live chains,
@@ -41,11 +42,11 @@ the sequential loop evaluates.  A run takes about as many iterations as its
 longest chain has acceptances plus step halvings, plus those its start
 waited for a slot.
 
-Determinism contract: restart k draws its start from its own RNG stream,
-the uniforms of numpy.random.default_rng([seed, k]), which
-streams.RestartStreams computes bit for bit for a block of restarts in
-integer arrays; _sample_rows consumes each stream exactly as sample_point
-would consume its Generator.  Every array operation of the engine is
+Determinism contract: restart k draws its start from its own stream of
+uniforms, SplitMix64 from a key hashed from (seed, k) (_restart_draw), which
+a block of restarts computes together in uint64 arrays; _sample_rows takes
+each restart's attempts from its own stream in order, so its start depends
+only on (seed, k).  Every array operation of the engine is
 elementwise, so a chain's result does not depend on which chains share the
 pool, and the cross-restart reduction (max value, then lowest restart index)
 is order independent: results are bit-identical across reruns, restart
@@ -65,7 +66,6 @@ from .class_u import (
     CrossCheckFailed,
     UParamPoint,
     _check_a2_mode,
-    _integer,
     _point,
     _rows,
     _sample_rows,
@@ -78,8 +78,7 @@ from .class_u import (
     u_coefficients,
     within_caps,
 )
-from .functionals import DeterminantId, closed_form, closed_form_function
-from .streams import RestartStreams
+from .functionals import DeterminantId, _integer, closed_form, closed_form_function
 
 #: Hard cap on restarts * (refine_budget + 1), the evaluations of a campaign's
 #: sampled restarts.
@@ -234,7 +233,8 @@ def _pool(tasks):
         px[took] = cand[took, move]
         pf[took] = val[took, move]
         left -= np.minimum(_CHARGE[code, t], left)
-        step *= np.where(t < 16, 1.0, 0.5)  # a whole sweep went without a move
+        # a move grows the step by 1.5 up to STEP_INIT; a whole sweep without one halves it
+        step[:] = np.where(t < 16, np.minimum(1.5 * step, STEP_INIT), 0.5 * step)
         code[:] = _NEXT[code, t]
 
 
@@ -274,6 +274,41 @@ def witness_starts(objective: Objective) -> tuple[tuple[str, UParamPoint], ...]:
     return tuple((name, entry.param) for name, entry in _catalog_entries(objective))
 
 
+#: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
+#: (Steele, Lea & Flood, OOPSLA 2014).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of a uint64 array, wrapping mod 2**64."""
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> np.uint64(31)
+
+
+def _restart_draw(seed: int, ks: np.ndarray):
+    """A uniform source draw(todo, width) for _sample_rows whose row i is
+    restart ks[i]'s own stream: SplitMix64 from the key
+    mix(mix(seed) + (k + 1) gamma), whose n-th uniform (n = 1, 2, ...) is
+    (mix(key + n gamma) >> 11) * 2**-53.  The seed is mixed first, so that
+    (s, k + 1) and (s + gamma, k) do not share a key, as they would unmixed.
+    Each row holds key + n gamma for the n it has drawn, so a draw advances
+    only the streams of the rows todo.  All in uint64 arrays, whose
+    wrap-around is the arithmetic mod 2**64 meant.
+    """
+    with np.errstate(over="ignore"):
+        seed_key = _mix(np.array([seed], np.uint64))
+        state = _mix(seed_key + (ks.astype(np.uint64) + np.uint64(1)) * _GAMMA)
+
+    def draw(todo: np.ndarray, width: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            x = state[todo, None] + np.arange(1, width + 1, dtype=np.uint64) * _GAMMA
+            state[todo] = x[:, -1]
+            return (_mix(x) >> np.uint64(11)).astype(float) * 2.0**-53
+
+    return draw
+
+
 def _starts(witnesses: np.ndarray, config: SearchConfig, a2_mode: str):
     """A campaign's (first chain index, start rows) in blocks of at most
     _BLOCK rows, drawn as the pool asks for them: the witnesses, then
@@ -284,7 +319,7 @@ def _starts(witnesses: np.ndarray, config: SearchConfig, a2_mode: str):
         block = indices[lo:lo + _BLOCK]
         ks = np.arange(max(block.start, 0), block.stop)
         yield lo, np.concatenate([witnesses[lo:lo + _BLOCK],
-                                  _sample_rows(RestartStreams(config.seed, ks), len(ks), a2_mode)])
+                                  _sample_rows(_restart_draw(config.seed, ks), len(ks), a2_mode)])
 
 
 def campaigns(jobs) -> list[SearchResult]:

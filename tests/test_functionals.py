@@ -53,6 +53,19 @@ class TestDeterminantId:
         with pytest.raises(ValueError):
             DeterminantId.parse(bad)
 
+    @pytest.mark.parametrize(("q", "n"), [(True, 2), (2, True), (np.True_, 1), (2.5, 1),
+                                          (1, 2.0), ("2", 2), (0, 1), (2, 0), (-1, 2)])
+    def test_constructor_rejects(self, q, n):
+        # True used to build "TTrue,2" and evaluate as T1,2; 2.5 built an id
+        # that det_value then failed on with TypeError
+        with pytest.raises(ValueError, match="must be"):
+            DeterminantId("T", q, n)
+
+    def test_numpy_integers_are_plain_ints(self):
+        det = DeterminantId("T", np.int64(3), np.uint8(2))
+        assert det == DeterminantId("T", 3, 2)
+        assert (type(det.q), type(det.n), str(det)) == (int, int, "T3,2")
+
     def test_min_window(self):
         assert DeterminantId("T", 3, 3).min_window == 5
         assert DeterminantId("T", 2, 2).min_window == 3

@@ -71,8 +71,9 @@ def test_sampler_and_row_conversion_have_one_home():
 
 
 def test_search_builds_no_generator():
-    # campaign draws its starts from streams.RestartStreams: no Generator,
-    # no SeedSequence per restart, in search.py at all
+    # campaign draws its starts from its own SplitMix64 streams
+    # (search._restart_draw): no Generator, SeedSequence or bit generator
+    # in search.py at all
     tree = ast.parse((PACKAGE / "search.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
