@@ -351,10 +351,9 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
     The polynomial map and the series-inversion route (_coefficient_routes)
     must agree to MAP_AGREEMENT_TOL on a1..a5, else CrossCheckFailed is
     raised; for m <= 5 the polynomial values are returned, for larger m the
-    series route's.
+    series route's.  m that is not an integer >= 1 raises ValueError.
     """
-    if m < 1:
-        raise ValueError(f"window length must be >= 1, got {m}")
+    m = _integer("m", m, 1)
     p = pt.schwarz
     direct, series, gaps = _coefficient_routes(pt.a2, p.c1, p.c2, p.c3, m)
     for k, gap in enumerate(gaps, start=1):
@@ -487,8 +486,9 @@ def membership_max_defect(
     whose defect ties the maximum to ARGMAX_TIE_TOL, so it does not move
     with the rounding of a flat defect.
 
-    Raises ValueError if samples_per_circle is not an integer >= 8 or if more
-    than MEMBERSHIP_SAMPLE_CAP samples are asked for in total, and
+    Raises ValueError if a radius lies outside (0, 1) or is so small that its
+    step underflows to 0, if samples_per_circle is not an integer >= 8 or if
+    more than MEMBERSHIP_SAMPLE_CAP samples are asked for in total, and
     EvaluationFailure if f fails or vanishes at a sample or the defect is
     non-finite there.
     """
@@ -497,6 +497,9 @@ def membership_max_defect(
         raise ValueError("need at least one radius")
     if any(not (0.0 < r < 1.0) for r in radii):
         raise ValueError(f"radii must lie strictly inside (0, 1), got {radii}")
+    if any(not FD_STEP_SCALE * r > 0.0 for r in radii):
+        raise ValueError(f"radii must be large enough that the difference step "
+                         f"FD_STEP_SCALE * r is positive, got {radii}")
     samples_per_circle = _integer("samples_per_circle", samples_per_circle, 8)
     if len(radii) * samples_per_circle > MEMBERSHIP_SAMPLE_CAP:
         raise ValueError(

@@ -17,30 +17,29 @@ one (the expansion and contraction of generating set search), until it
 drops below STEP_MIN or the chain's proposal budget is spent.  Each
 proposal is pulled back into the region by class_u.pull_back (the
 package's one projection), and is scored only if class_u.within_caps (the
-one cap check) accepts it.  No point is checked inside the engine: refine
-checks its start (InfeasibleStart) and campaign its winner
-(CrossCheckFailed) with class_u.region_violation; campaign's own starts,
-catalog points and sampler draws, lie in the region by construction.
+one cap check) accepts it.  No point is checked inside the engine: a
+campaign's starts, catalog points and sampler draws, lie in the region by
+construction, and campaigns checks each winner with class_u.region_violation
+(CrossCheckFailed).
 
-The chains of all the jobs of one campaigns() call (campaign runs one job,
-refine one chain) share one lockstep pool of at most _BLOCK live chains,
-whose state (point, value, step, place in the sweep, evaluations left) is
-held in numpy arrays.  Finished chains leave, and the next pending starts,
-drawn a block of _BLOCK at a time in job order, take their slots; so memory
-stays bounded, and the live set stays ordered by job, each objective's
-closed form running on one slice of it.  Each iteration scores, in one
-vectorised pass, every move of each live chain's sweep from its current
-point.  A chain tries them in cyclic order from its position (the rest of
-its sweep, then the next sweep's moves before the position, from the same
-point and step) and takes the first improving one, as the sequential loop
-would; if none improves, a whole sweep has failed and the step halves.
-Tables indexed by the chain's place give that order, the charge and the
-next place.  Moves after the taken one are computed but never charged: a
-chain is charged for the moves it tries up to the taken one, and for no
-more than budget + 1 evaluations in all, so evaluations_used counts what
-the sequential loop evaluates.  A run takes about as many iterations as its
-longest chain has acceptances plus step halvings, plus those its start
-waited for a slot.
+The chains of all the jobs of one campaigns() call (campaign runs one job)
+share one lockstep pool of at most _BLOCK live chains, whose state (point,
+value, step, place in the sweep, evaluations left) is held in numpy arrays.
+Finished chains leave, and the next pending starts, drawn a block of _BLOCK
+at a time in job order, take their slots; so memory stays bounded, and the
+live set stays ordered by job, each objective's closed form running on one
+slice of it.  Each iteration scores, in one vectorised pass, every move of
+each live chain's sweep from its current point.  A chain tries them in
+cyclic order from its position (the rest of its sweep, then the next sweep's
+moves before the position, from the same point and step) and takes the first
+improving one, as the sequential loop would; if none improves, a whole sweep
+has failed and the step halves.  Tables indexed by the chain's place give
+that order, the charge and the next place.  Moves after the taken one are
+computed but never charged: a chain is charged for the moves it tries up to
+the taken one, and for no more than budget + 1 evaluations in all, so
+evaluations_used counts what the sequential loop evaluates.  A run takes
+about as many iterations as its longest chain has acceptances plus step
+halvings, plus those its start waited for a slot.
 
 Determinism contract: restart k draws its start from its own stream of
 uniforms, SplitMix64 from a key hashed from (seed, k) (_restart_draw), which
@@ -97,10 +96,6 @@ DOCUMENTED_SEEDS: dict[str, int] = {
     "T3,2|zero": 7,
     "T3,3|free": 46,
 }
-
-
-class InfeasibleStart(ValueError):
-    """refine() was handed a start outside the search region."""
 
 
 @dataclass(frozen=True)
@@ -238,23 +233,6 @@ def _pool(tasks):
         code[:] = _NEXT[code, t]
 
 
-def refine(
-    objective: Objective, start: UParamPoint, budget: int = SearchConfig.refine_budget
-) -> tuple[UParamPoint, float]:
-    """Climb from a feasible start; returns (point, value), value >= start value.
-
-    A one-chain run of the campaign engine, so it returns what a campaign
-    reports for a restart with this start.  With budget 0 the start is simply
-    evaluated and returned; a budget that is not an integer >= 0 raises
-    ValueError, and a start outside the region raises InfeasibleStart.
-    """
-    if (why := region_violation(start, objective.a2_mode)) is not None:
-        raise InfeasibleStart(f"start {why}")
-    budget = _integer("budget", budget, 0)
-    ((_, _, x, fx, _),) = _pool([(objective, budget, [(0, _rows([start]))])])
-    return _point(x[0]), float(fx[0])
-
-
 def _catalog_entries(objective: Objective):
     """(name, entry) of each catalog entry in the objective's a2 mode: all of
     them when a2 is free, those with a2 = 0 in zero mode.
@@ -263,15 +241,6 @@ def _catalog_entries(objective: Objective):
         entry = catalog(name)
         if objective.a2_mode == "free" or entry.param.a2 == 0:
             yield name, entry
-
-
-def witness_starts(objective: Objective) -> tuple[tuple[str, UParamPoint], ...]:
-    """Catalog parameter points compatible with the objective's a2 mode.
-
-    These seed the deterministic leading chains of every campaign, which is
-    what guarantees best_value never falls below a known attainment.
-    """
-    return tuple((name, entry.param) for name, entry in _catalog_entries(objective))
 
 
 #: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
@@ -343,7 +312,7 @@ def campaigns(jobs) -> list[SearchResult]:
         if (evals := config.restarts * (config.refine_budget + 1)) > EVAL_CAP:
             raise ValueError(f"restarts * (refine_budget + 1) = {evals} exceeds the "
                              f"evaluation cap {EVAL_CAP}")
-    witnesses = [_rows(pt for _, pt in witness_starts(o)) for o, _ in jobs]
+    witnesses = [_rows(e.param for _, e in _catalog_entries(o)) for o, _ in jobs]
     values = [np.empty(len(w) + c.restarts) for w, (_, c) in zip(witnesses, jobs)]
     best, totals = [(-math.inf, 0, None)] * len(jobs), [0] * len(jobs)  # value, -chain, point
     for j, chains, x, fx, used in _pool([(o, c.refine_budget, _starts(w, c, o.a2_mode))

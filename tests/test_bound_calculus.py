@@ -3,6 +3,7 @@
 import math
 import re
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,23 @@ class TestSubstitutedConstants:
         plain = {k: c.value for k, c in LEDGER.items()}
         for tid in THEOREM_IDS:
             assert theorem_chain(tid, constants=plain) == theorem_chain(tid)
+
+    # the ledger's rational constants as Fractions: its integers and halves,
+    # which floats hold exactly, and S0.a4max = 2/3, which no float holds
+    RATIONAL = {**{k: Fraction(c.value) for k, c in LEDGER.items() if (2 * c.value).is_integer()},
+                "S0.a4max": Fraction(2, 3)}
+
+    @pytest.mark.parametrize("tid", ["thm1_i", "thm1_ii", "thm1_iii", "thm1_iv", "thm2_i",
+                                     "thm2_ii", "thm2_iii", "thm2_v", "thm4_i"])
+    def test_rational_chain_equals_its_statement_exactly(self, tid):
+        # in floats thm4_i reads 1.3333333333333333, not 4/3
+        chain = theorem_chain(tid, constants=self.RATIONAL)
+        assert chain.computed_value == Fraction(chain.stated_text), tid
+
+    def test_thm2_iv_is_a_quarter_exactly(self):
+        value = theorem_chain("thm2_iv", constants=self.RATIONAL).computed_value
+        assert value == Fraction(1, 4)
+        assert value != Fraction(3, 16)  # the published statement
 
 
 class TestVerification:

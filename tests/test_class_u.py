@@ -238,6 +238,11 @@ class TestCoefficientMap:
         w = u_coefficients(F1_POINT, 8)
         assert w.a == pytest.approx((1, 2j, -3, -4j, 5, 6j, -7, -8j))
 
+    @pytest.mark.parametrize("m", [True, 2.5, "5", 0])
+    def test_window_length_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="m must be"):
+            u_coefficients(F1_POINT, m)
+
     def test_quintet_formulas(self):
         a3, a4, a5 = coefficient_quintet(2j, 1, 0, 0)
         assert (a3, a4, a5) == pytest.approx((-3, -4j, 5))
@@ -249,7 +254,7 @@ class TestCoefficientMap:
     @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0, float("-inf"))],
                              ids=["nan", "inf", "-infj"])
     def test_non_finite_entries_rejected(self, bad):
-        # refine, project_feasible and u_coefficients would otherwise return
+        # project_feasible and u_coefficients would otherwise return
         # NaN or report a bad input as a disagreement of the two routes
         for c in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
             with pytest.raises(ValueError, match="finite"):
@@ -397,6 +402,11 @@ class TestMembership:
             membership_max_defect(catalog("f1").evaluator, (1.0,), 64)
         with pytest.raises(ValueError):
             membership_max_defect(catalog("f1").evaluator, (0.5,), 4)
+        # below about 4.9e-318 the step FD_STEP_SCALE * r underflows to 0
+        with pytest.raises(ValueError, match="step"):
+            membership_max_defect(catalog("f1").evaluator, (0.5, 1e-320), 64)
+        rep = membership_max_defect(catalog("f1").evaluator, (1e-300,), 256)
+        assert rep.max_defect < 1e-9
 
     @pytest.mark.parametrize("samples", [16.0, 8.5, "16", None])
     def test_samples_must_be_an_integer(self, samples):

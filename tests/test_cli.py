@@ -248,8 +248,13 @@ class TestMembership:
         assert json.loads(out)["results"]["samples"] == 256
 
     def test_exit_2_on_bad_radius(self, capsys):
-        code = run(capsys, "membership", "--function", "f1", "--radius", "1.5")[0]
-        assert code == 2
+        # 1e-320 is inside (0, 1), but its difference step underflows to 0
+        for radius in ("1.5", "1e-320"):
+            code, out, err = run(capsys, "membership", "--function", "f1", "--radius", radius)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
+        assert run(capsys, "membership", "--function", "f1", "--radius", "1e-300")[0] == 0
 
     def test_exit_3_on_evaluation_failure(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

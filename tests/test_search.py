@@ -1,4 +1,4 @@
-"""Sampler, refiner, and campaign determinism on small configurations."""
+"""Sampler, engine, and campaign determinism on small configurations."""
 
 import json
 import math
@@ -28,6 +28,7 @@ from coefflab.class_u import (
     _sample_rows,
     coefficient_quintet,
     pull_back,
+    region_violation,
     schwarz_feasible,
     within_caps,
 )
@@ -40,7 +41,6 @@ from coefflab.functionals import (
 from coefflab.search import (
     A2_MODES,
     DOCUMENTED_SEEDS,
-    InfeasibleStart,
     Objective,
     SearchConfig,
     SearchResult,
@@ -48,9 +48,7 @@ from coefflab.search import (
     campaigns,
     catalog_witness,
     objective_reference,
-    refine,
     sample_point,
-    witness_starts,
 )
 from test_restart_stream import SplitMix64
 
@@ -137,7 +135,7 @@ def campaign_starts(objective, config):
     """The starts of a campaign's chains, in restart-index order, as rows of
     8 floats; restart k's from the sequential sampler on its own stream, the
     scalar SplitMix64 oracle."""
-    starts = [pt for _, pt in witness_starts(objective)]
+    starts = [entry.param for _, entry in search._catalog_entries(objective)]
     for k in range(config.restarts):
         starts.append(sequential_sample_point(SplitMix64(config.seed, k), objective.a2_mode))
     return _rows(starts)
@@ -251,7 +249,7 @@ class TestSampler:
         config = SearchConfig(seed=21, restarts=700)
         ks = np.arange(config.restarts)
         rows = _sample_rows(search._restart_draw(config.seed, ks), len(ks), mode)
-        skip = len(witness_starts(objective))
+        skip = len(list(search._catalog_entries(objective)))
         assert rows.tobytes() == campaign_starts(objective, config)[skip:].tobytes()
         assert _sample_rows(search._restart_draw(config.seed, ks[:0]), 0, mode).shape == (0, 8)
 
@@ -276,63 +274,47 @@ class TestSampler:
 
 
 class TestRefine:
+    """One restart's climb, run as a one-chain pool."""
+
     def test_budget_zero_evaluates_start(self):
-        pt, val = refine(T22, F1_POINT, budget=0)
-        assert pt == F1_POINT
-        assert val == pytest.approx(13.0, abs=1e-12)
+        x, fx, evals = pooled(T22, _rows([F1_POINT]), 0)
+        assert _point(x[0]) == F1_POINT
+        assert fx[0] == pytest.approx(13.0, abs=1e-12)
+        assert evals.tolist() == [1]
 
     def test_region_maximum_is_a_fixed_point(self):
-        pt, val = refine(T22, F1_POINT, budget=20_000)
-        assert val == pytest.approx(13.0, abs=1e-9)
+        x, fx, _ = pooled(T22, _rows([F1_POINT]), 20_000)
+        pt = _point(x[0])
+        assert fx[0] == pytest.approx(13.0, abs=1e-9)
         assert abs(pt.a2 - 2j) <= 1e-6
         assert abs(pt.schwarz.c1 - 1) <= 1e-6
 
     def test_monotone_from_interior(self):
-        start = UParamPoint(1.9j, SchwarzParams(0.9, 0, 0))
-        _, v0 = refine(T22, start, budget=0)
-        _, v1 = refine(T22, start, budget=3000)
+        start = _rows([UParamPoint(1.9j, SchwarzParams(0.9, 0, 0))])
+        v0 = pooled(T22, start, 0)[1][0]
+        v1 = pooled(T22, start, 3000)[1][0]
         assert v1 >= v0
-
-    def test_infeasible_start(self):
-        with pytest.raises(InfeasibleStart):
-            refine(T22, UParamPoint(0, SchwarzParams(0.5, 0.5, 0)))
-
-    def test_zero_mode_start_needs_zero_a2(self):
-        obj = Objective(DeterminantId.parse("T2,2"), "zero")
-        with pytest.raises(InfeasibleStart):
-            refine(obj, UParamPoint(0.5, SchwarzParams(0, 0, 0)))
-        # zero mode is a2 == 0 exactly: the climb never moves a2, so a start
-        # 5e-13 off the slice would return a point off it
-        obj = Objective(DeterminantId.parse("T3,2"), "zero")
-        with pytest.raises(InfeasibleStart, match="a2 = 0"):
-            refine(obj, UParamPoint(5e-13, SchwarzParams(0.3, 0.1, 0.05)), 2000)
-
-    @pytest.mark.parametrize("budget", [-5, 2.5])
-    def test_bad_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="budget must be"):
-            refine(T22, F1_POINT, budget)
-
-    def test_cap_violating_start(self):
-        # a2 = 2, c1 = 1 gives a3 = 5, outside the class cap
-        with pytest.raises(InfeasibleStart):
-            refine(T22, UParamPoint(2, SchwarzParams(1, 0, 0)))
 
 
 class TestWitnesses:
     def test_free_mode_uses_whole_catalog(self):
-        assert [n for n, _ in witness_starts(T22)] == [
+        assert [n for n, _ in search._catalog_entries(T22)] == [
             "identity", "f1", "f2", "f3", "f4", "koebe",
         ]
 
     def test_zero_mode_filters(self):
         obj = Objective(DeterminantId.parse("T3,2"), "zero")
-        assert [n for n, _ in witness_starts(obj)] == ["identity", "f2", "f3", "f4"]
+        assert [n for n, _ in search._catalog_entries(obj)] == ["identity", "f2", "f3", "f4"]
 
     @pytest.mark.parametrize("objective", ALL_OBJECTIVES, ids=lambda o: o.label)
     def test_every_witness_passes_the_entry_check(self, objective):
-        # campaigns run their witness chains unchecked; refine checks its start
-        for _, pt in witness_starts(objective):
-            assert refine(objective, pt, 0)[0] == pt
+        # campaigns run their witness chains unchecked, so each must lie in
+        # the region of the objective's a2 mode; at budget 0 a chain is its start
+        points = [entry.param for _, entry in search._catalog_entries(objective)]
+        for pt in points:
+            assert region_violation(pt, objective.a2_mode) is None, pt
+        starts = _rows(points)
+        assert pooled(objective, starts, 0)[0].tobytes() == starts.tobytes()
 
     def test_catalog_witness_values(self):
         assert catalog_witness(T22) == ("f1", pytest.approx(13.0))
@@ -543,7 +525,7 @@ class TestLockstepEngine:
                           campaign_starts(objective, SearchConfig(seed=9, restarts=12))))
         values = dict(large.per_restart)
         for k in (-1, 0, 7, 11):
-            assert refine(objective, _point(starts[k]), 800)[1] == values[k]
+            assert pooled(objective, starts[k][None], 800)[1][0] == values[k]
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         config = SearchConfig(seed=3, restarts=9, refine_budget=300)

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import coefflab
@@ -70,6 +71,17 @@ def test_sampler_and_row_conversion_have_one_home():
     assert {"_point", "_rows"} <= imported
 
 
+def test_campaigns_is_the_one_way_into_the_pool():
+    # the engine checks no point: campaign starts lie in the region by
+    # construction and campaigns checks each winner, so no other entry may exist
+    found = {
+        path.name: fns
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (fns := _calling(ast.parse(path.read_text()), "_pool"))
+    }
+    assert found == {"search.py": {"campaigns"}}
+
+
 def test_search_builds_no_generator():
     # campaign draws its starts from its own SplitMix64 streams
     # (search._restart_draw): no Generator, SeedSequence or bit generator
@@ -114,3 +126,17 @@ def test_cli_compares_no_coefficient_routes_itself():
     names = _imported_names(ast.parse((PACKAGE / "cli.py").read_text()))
     assert not [name for name, module in names.items() if module == "series"]
     assert names["_coefficient_routes"] == "class_u"
+
+
+def test_public_names_are_sorted_unique_and_resolve():
+    # a name left in __all__ after its definition is deleted first fails at
+    # `from coefflab import *`
+    names = coefflab.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(coefflab, name)] == []
+
+
+def test_version_matches_pyproject():
+    # both are bumped by hand each release; Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'(?m)^version = "([^"]+)"$', text) == [coefflab.__version__]
