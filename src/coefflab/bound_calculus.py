@@ -118,7 +118,7 @@ def _max_quadratic(a: float, b: float, c: float, lo: float, hi: float) -> float:
     """Exact maximum of a x^2 + b x + c on [lo, hi]."""
     candidates = [lo, hi]
     if a != 0.0:
-        vertex = -b / (2.0 * a)
+        vertex = -b / (2 * a)
         if lo <= vertex <= hi:
             candidates.append(vertex)
     return max(a * x * x + b * x + c for x in candidates)
@@ -170,7 +170,8 @@ def _chain_thm2_i(c: Getter):
 
 def _chain_thm2_ii(c: Getter):
     hi = c("U.c1max") ** 2
-    v = _max_quadratic(0.25, 0.5, 0.25, 0.0, hi)
+    one = type(hi)(1)  # a Fraction ledger keeps the chain exact
+    v = _max_quadratic(one / 4, one / 2, one / 4, 0 * one, hi)
     return v, (
         "|T(2,3)| = |c1^2 - c2^2| <= x + ((1 - x)/2)^2 with x = |c1|^2",
         "max over x in [0, U.c1max^2] of x + (1 - x)^2 / 4, attained at x = 1",
@@ -187,7 +188,8 @@ def _chain_thm2_iii(c: Getter):
 
 def _chain_thm2_iv(c: Getter):
     hi = c("U.c1max") ** 2
-    v = _max_quadratic(-1.0, 1.0, 0.0, 0.0, hi)
+    one = type(hi)(1)  # a Fraction ledger keeps the chain exact
+    v = _max_quadratic(-one, one, 0 * one, 0 * one, hi)
     return v, (
         "|T(3,2)| = 2 |c1|^2 |c2| <= 2 x (1 - x)/2 = x (1 - x) with x = |c1|^2",
         "max over x in [0, U.c1max^2] of x (1 - x), attained at x = 1/2",

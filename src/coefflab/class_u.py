@@ -168,11 +168,13 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     return FeasibilityCheck(all(m >= -FEASIBILITY_TOL for m in margins), margins)
 
 
-def pull_back(z: np.ndarray) -> None:
+def pull_back(z: np.ndarray, m: np.ndarray | None = None) -> None:
     """Pull points, complex rows [a2, c1, c2, c3], into the region in place; elementwise.
 
     The package's one projection, behind project_feasible and the search's
-    pull-back of every proposal.  One pass: the moduli of all four entries,
+    pull-back of every proposal.  One pass: the moduli of all four entries
+    (m when given, which must equal np.hypot(z.real, z.imag) bit for bit:
+    the search passes the moduli it shares between a chain's proposals),
     then the radii in order (A2_RADIUS, the c1 radius, then the c2 and c3
     bounds clamped at 0), in which a shrunk entry's bound stands in for its
     modulus, so once c1 reaches the unit circle the tail is exactly zero at
@@ -182,7 +184,8 @@ def pull_back(z: np.ndarray) -> None:
     above its bound, inside FEASIBILITY_TOL.  The caps are not projected onto;
     within_caps checks them.
     """
-    m = np.hypot(z.real, z.imag)
+    if m is None:
+        m = np.hypot(z.real, z.imag)
     radius = np.empty_like(m)
     radius[..., 0], radius[..., 1] = A2_RADIUS, _C1_RADIUS
     m1 = np.minimum(m[..., 1], _C1_RADIUS)

@@ -39,7 +39,11 @@ computed but never charged: a chain is charged for the moves it tries up to
 the taken one, and for no more than budget + 1 evaluations in all, so
 evaluations_used counts what the sequential loop evaluates.  A run takes
 about as many iterations as its longest chain has acceptances plus step
-halvings, plus those its start waited for a slot.
+halvings, plus those its start waited for a slot.  A move changes one entry
+of its chain's point, so an iteration takes the moduli of each live chain's
+four entries once and only the moved entry's per proposal, and pulls the
+proposals back with these shared moduli, which equal np.hypot of the
+proposals' entries bit for bit.
 
 Determinism contract: restart k draws its start from its own stream of
 uniforms, SplitMix64 from a key hashed from (seed, k) (_restart_draw), which
@@ -210,6 +214,8 @@ def _pool(tasks):
             parts = [(j, slice(a, b)) for j, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
             width = max(_MODES[tasks[j][0].a2_mode][1] for j, _ in parts)
             offset, lead = _OFFSET[:, 16 - width:], 8 - width // 2
+            cols = np.arange(width)
+            entry = lead // 2 + cols // 4  # entry[j]: the entry move j changes
             fn = fns[parts[0][0]] if len(parts) == 1 else lambda *a: np.concatenate(
                 [fns[j](*(v[rows] for v in a)) for j, rows in parts])
         # move j of the pool moves float lead + j // 2: in each chain's row of
@@ -218,7 +224,12 @@ def _pool(tasks):
         flat = cand.reshape(len(px), -1)
         flat[:, lead::17] += step[:, None]
         flat[:, lead + 8::17] -= step[:, None]
-        pull_back(cand.view(complex))
+        # a proposal shares its chain's moduli but for the one entry it moved
+        z = cand.view(complex)
+        m = np.repeat(np.hypot(px[:, ::2], px[:, 1::2]), width, axis=0).reshape(z.shape)
+        moved = z[:, cols, entry]
+        m[:, cols, entry] = np.hypot(moved.real, moved.imag)
+        pull_back(z, m)
         val = _values(cand, fn)
         key = np.where(val > pf[:, None], offset[code], 16)
         t = key.min(axis=1)  # the offset of the first improving move, 16 if none

@@ -175,6 +175,15 @@ class TestSubstitutedConstants:
         chain = theorem_chain(tid, constants=self.RATIONAL)
         assert chain.computed_value == Fraction(chain.stated_text), tid
 
+    @pytest.mark.parametrize("tid, exact", [("thm2_ii", Fraction(1)), ("thm2_iv", Fraction(1, 4))])
+    def test_quadratic_chains_follow_the_ledger_type(self, tid, exact):
+        # the inner maximum's coefficients follow the constants: Fractions in,
+        # a Fraction out; floats in, a float out (thm2_iv's vertex is x = 1/2)
+        value = theorem_chain(tid, constants=self.RATIONAL).computed_value
+        assert isinstance(value, Fraction) and value == exact
+        value = theorem_chain(tid).computed_value
+        assert type(value) is float and value == exact
+
     def test_thm2_iv_is_a_quarter_exactly(self):
         value = theorem_chain("thm2_iv", constants=self.RATIONAL).computed_value
         assert value == Fraction(1, 4)

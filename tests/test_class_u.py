@@ -163,6 +163,22 @@ class TestProjection:
         assert z[2].tolist() == [0, 0.3, 0.2j, 0.05]
 
 
+#: Rows [a2, c1, c2, c3] at pull_back's edges: signed zeros, points on the
+#: circles and bounds, and tails that collapse to a zero radius.
+EDGE_ROWS = [
+    [0j, 0.3, 0.2j, 0.05],  # a2 = 0 exactly
+    [0j, 1.5, 0.5, 0.25],  # |c1| > 1: the tail collapses
+    [0j, 1j, 0.3 - 0.4j, 0.2],  # |c1| = 1 exactly: the tail collapses
+    [0j, -1, -0.0, 0.1j],
+    [2.5j, 1 + 1j, 1, 1],
+    [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0j],
+    [complex(-0.0, -1.0), complex(-0.5, 0.0), complex(0.0, -0.375), complex(-0.0, 0.1)],
+    [2, 0.5, 0.375, 0.125],  # every entry on its bound
+    [-2j, 1 / SQRT2, 0.25, -1.0 / (6.0 * SQRT2)],  # f4's tail, on its bounds
+    [complex(SQRT2, SQRT2), complex(0.6, 0.8), 0, 0],  # on the circles by components
+]
+
+
 class TestPullBackOracle:
     """The one-pass pull_back against sequential_pull_back, compared as bytes."""
 
@@ -190,20 +206,8 @@ class TestPullBackOracle:
             self.assert_same(row)  # one row, as project_feasible passes it
 
     def test_edge_rows(self):
-        rows = [
-            [0j, 0.3, 0.2j, 0.05],  # a2 = 0 exactly
-            [0j, 1.5, 0.5, 0.25],  # |c1| > 1: the tail collapses
-            [0j, 1j, 0.3 - 0.4j, 0.2],  # |c1| = 1 exactly: the tail collapses
-            [0j, -1, -0.0, 0.1j],
-            [2.5j, 1 + 1j, 1, 1],
-            [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0j],
-            [complex(-0.0, -1.0), complex(-0.5, 0.0), complex(0.0, -0.375), complex(-0.0, 0.1)],
-            [2, 0.5, 0.375, 0.125],  # every entry on its bound
-            [-2j, 1 / SQRT2, 0.25, -1.0 / (6.0 * SQRT2)],  # f4's tail, on its bounds
-            [complex(SQRT2, SQRT2), complex(0.6, 0.8), 0, 0],  # on the circles by components
-        ]
-        self.assert_same(rows)
-        for row in rows:
+        self.assert_same(EDGE_ROWS)
+        for row in EDGE_ROWS:
             self.assert_same(row)
 
 

@@ -50,6 +50,7 @@ from coefflab.search import (
     objective_reference,
     sample_point,
 )
+from test_class_u import EDGE_ROWS
 from test_restart_stream import SplitMix64
 
 T22 = Objective(DeterminantId.parse("T2,2"))
@@ -414,7 +415,7 @@ class TestCampaign:
     def test_winner_outside_the_region_raises(self, monkeypatch):
         # without the pull-back T3,2's winner reads 84.00000000007762 at a
         # point that schwarz_feasible rejects; the exit check must catch it
-        monkeypatch.setattr(search, "pull_back", lambda z: None)
+        monkeypatch.setattr(search, "pull_back", lambda z, m: None)
         with pytest.raises(CrossCheckFailed, match="winner violates the region"):
             campaign(Objective(DeterminantId.parse("T3,2")),
                      SearchConfig(seed=1, restarts=5, refine_budget=2000))
@@ -499,9 +500,9 @@ class TestLockstepEngine:
         calls = []
         real = search.pull_back
 
-        def counting(z):
+        def counting(z, m):
             calls.append(z.shape)
-            real(z)
+            real(z, m)
 
         monkeypatch.setattr(search, "pull_back", counting)
         det, mode = label.split("|")
@@ -526,6 +527,38 @@ class TestLockstepEngine:
         values = dict(large.per_restart)
         for k in (-1, 0, 7, 11):
             assert pooled(objective, starts[k][None], 800)[1][0] == values[k]
+
+    @pytest.mark.parametrize("modes, width", [(("free",), 16), (("zero",), 12),
+                                              (("free", "zero"), 16)])
+    def test_shared_moduli_equal_the_full_projection(self, modes, width, monkeypatch):
+        # the engine takes each chain's moduli once and only the moved
+        # entry's per proposal; they must be np.hypot of the proposals, and
+        # the pull-back with them that of the full proposals, bit for bit
+        rng = np.random.default_rng(23)
+        edge = np.array(EDGE_ROWS, dtype=complex)
+        far = 5.0 * (rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4)))
+        tasks = []
+        for mode in modes:
+            pts = np.concatenate([edge, far])
+            if mode == "zero":
+                pts[pts[:, 0] != 0, 0] = 0
+            rows = np.concatenate([pts.view(float), _sample_rows(_generator_draw(rng), 20, mode)])
+            tasks.append((Objective(DeterminantId.parse("T3,2"), mode), 30, [(0, rows)]))
+        seen = []
+        real = search.pull_back
+
+        def checking(z, m):
+            full = z.copy()
+            real(full)
+            same_moduli = m.tobytes() == np.hypot(z.real, z.imag).tobytes()
+            real(z, m)
+            seen.append((z.shape[1], same_moduli, z.tobytes() == full.tobytes()))
+
+        monkeypatch.setattr(search, "pull_back", checking)
+        for _ in search._pool(tasks):
+            pass
+        assert len(seen) > 1
+        assert seen == [(width, True, True)] * len(seen)
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         config = SearchConfig(seed=3, restarts=9, refine_budget=300)
@@ -572,7 +605,7 @@ class TestCampaigns:
         live = []  # the live chains of each iteration, one pull_back call each
         finished = []  # the iterations run before each batch of finished chains
         real_pull_back, real_pool = search.pull_back, search._pool
-        monkeypatch.setattr(search, "pull_back", lambda z: (live.append(len(z)), real_pull_back(z)))
+        monkeypatch.setattr(search, "pull_back", lambda z, m: (live.append(len(z)), real_pull_back(z, m)))
 
         def pool(tasks):
             for batch in real_pool(tasks):
@@ -609,7 +642,7 @@ class TestCampaigns:
         # accepted move bounds that at the documented seeds and shifted ones.
         calls = []
         real = search.pull_back
-        monkeypatch.setattr(search, "pull_back", lambda z: (calls.append(1), real(z)))
+        monkeypatch.setattr(search, "pull_back", lambda z, m: (calls.append(1), real(z, m)))
         jobs = []
         for label, seed in DOCUMENTED_SEEDS.items():
             det, mode = label.split("|")
