@@ -152,7 +152,7 @@ def _product(prefix: str, n: int, hankel: str) -> Callable[[Getter], tuple]:
 
 def _chain_thm1_iii(c: Getter):
     a2, a3, c1 = c("U.a2max"), c("U.a3max"), c("U.c1max")
-    v = 1.0 + 2.0 * a2 * a2 + (a2 * a2 + c1) * a3
+    v = 1 + 2 * a2 * a2 + (a2 * a2 + c1) * a3
     return v, (
         "|T(3,1)| = |1 - 2 a2^2 + (a2^2 - c1)(a2^2 + c1)| "
         "<= 1 + 2 |a2|^2 + (|a2|^2 + |c1|) |a3|",
@@ -179,7 +179,7 @@ def _chain_thm2_ii(c: Getter):
 
 
 def _chain_thm2_iii(c: Getter):
-    v = 1.0 + c("U0.a3max") ** 2
+    v = 1 + c("U0.a3max") ** 2
     return v, (
         "|T(3,1)| = |1 - a3^2| <= 1 + |a3|^2 when a2 = 0",
         "1 + U0.a3max^2",

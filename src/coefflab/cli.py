@@ -10,9 +10,12 @@
 
 Every command emits one document with the same top-level shape:
 tool_version, command, inputs, results, flags_of_concern.  JSON is the
-canonical format (complex numbers as [re, im] pairs, keys sorted); csv and
-text are flattened renderings of the same payload: their columns are the
-result fields, nested keys joined with '_' (reference.id is reference_id) and
+canonical format (complex numbers as [re, im] pairs, keys sorted).  Each
+result row is built from the library object it renders, vars() of a
+BoundChain, DefectReport, SearchConfig, SearchResult or SchwarzParams, so a
+new field of one reaches the JSON with no edit here.  csv and text are
+flattened renderings of the same payload whose columns are chosen in
+_COLUMNS: nested keys joined with '_' (reference.id is reference_id) and
 lists joined with ';'.  Identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 argument or parse errors (non-finite literals,
@@ -323,22 +326,18 @@ def cmd_bounds(args) -> dict:
 
 
 def _campaign_row(objective: Objective, config: SearchConfig,
-                  result) -> tuple[dict, list[str]]:
-    """The fields search and report share for one campaign, and its flags."""
+                  result) -> tuple[dict, bool, list[str]]:
+    """The fields search and report share for one campaign, whether its best
+    stayed within its reference bound, and its flags."""
     ref_kind, ref_id, ref_value = objective_reference(objective)
     wit_name, wit_value = catalog_witness(objective)
     best = result.best_value
-    row = {
-        "seed": config.seed,
-        "restarts": config.restarts,
-        "refine_budget": config.refine_budget,
-        "best_value": best,
-        "evaluations_used": result.evaluations_used,
-        "reference": {"kind": ref_kind, "id": ref_id, "value": ref_value},
-        "witness": {"name": wit_name, "value": wit_value},
-    }
+    within = best <= ref_value + REFERENCE_SLACK
+    row = dict(vars(config), best_value=best, evaluations_used=result.evaluations_used,
+               reference={"kind": ref_kind, "id": ref_id, "value": ref_value},
+               witness={"name": wit_name, "value": wit_value})
     flags = []
-    if best > ref_value + REFERENCE_SLACK:
+    if not within:
         flags.append(
             f"{objective.label}: campaign best {_fmt(best)} exceeds its reference "
             f"{ref_id} = {_fmt(ref_value)}"
@@ -351,7 +350,7 @@ def _campaign_row(objective: Objective, config: SearchConfig,
                 f"statement {ch.stated_text} = {_fmt(ch.stated_value)} "
                 f"(recomputed chain allows {_fmt(ch.computed_value)})"
             )
-    return row, flags
+    return row, within, flags
 
 
 def cmd_search(args) -> dict:
@@ -359,16 +358,11 @@ def cmd_search(args) -> dict:
                           "zero" if args.a2zero else "free")
     config = SearchConfig(seed=args.seed, restarts=args.starts, refine_budget=args.budget)
     result = campaign(objective, config)
-    row, flags = _campaign_row(objective, config, result)
+    row, _, flags = _campaign_row(objective, config, result)
     p = result.best_point
-    results = dict(
-        row,
-        objective=str(objective.det),
-        a2_mode=objective.a2_mode,
-        best_point={"a2": p.a2, "c1": p.schwarz.c1, "c2": p.schwarz.c2, "c3": p.schwarz.c3},
-        best_window=list(result.best_window),
-        per_restart=[list(item) for item in result.per_restart],
-    )
+    # every SearchResult field, the best point lowered to its coordinates
+    results = dict(vars(result), **row, objective=str(objective.det),
+                   a2_mode=objective.a2_mode, best_point=dict(a2=p.a2, **vars(p.schwarz)))
     inputs = {"objective": args.objective, "a2zero": args.a2zero, "seed": args.seed,
               "starts": args.starts, "budget": args.budget}
     return document("search", inputs, results, flags)
@@ -376,13 +370,8 @@ def cmd_search(args) -> dict:
 
 def _membership_row(name: str, radii: tuple[float, ...], samples: int) -> dict:
     rep = membership_max_defect(named_evaluator(name), radii, samples)
-    return {
-        "function": name,
-        "radii": list(radii),
-        "max_defect": rep.max_defect,
-        "argmax": rep.argmax,
-        "verdict": "evidence-member" if rep.max_defect < 1.0 else "non-member-witness",
-    }
+    verdict = "evidence-member" if rep.max_defect < 1.0 else "non-member-witness"
+    return dict(vars(rep), function=name, radii=list(radii), verdict=verdict)
 
 
 def cmd_membership(args) -> dict:
@@ -434,8 +423,7 @@ def cmd_report(args) -> dict:
             for label, seed in DOCUMENTED_SEEDS.items()]
     campaign_rows = []
     for label, job, result in zip(DOCUMENTED_SEEDS, jobs, campaigns(jobs)):  # one pool for all
-        row, row_flags = _campaign_row(*job, result)
-        within = row["best_value"] <= row["reference"]["value"] + REFERENCE_SLACK
+        row, within, row_flags = _campaign_row(*job, result)
         campaign_rows.append(dict(row, objective=label, within_reference=within))
         flags.extend(row_flags)
     membership = [_membership_row(name, DEFAULT_RADII, DEFAULT_SAMPLES)

@@ -18,9 +18,9 @@ drops below STEP_MIN or the chain's proposal budget is spent.  Each
 proposal is pulled back into the region by class_u.pull_back (the
 package's one projection), and is scored only if class_u.within_caps (the
 one cap check) accepts it.  No point is checked inside the engine: a
-campaign's starts, catalog points and sampler draws, lie in the region by
-construction, and campaigns checks each winner with class_u.region_violation
-(CrossCheckFailed).
+campaign's starts lie in the region, catalog points by selection with
+class_u.region_violation and sampler draws by construction, and campaigns
+checks each winner with region_violation (CrossCheckFailed).
 
 The chains of all the jobs of one campaigns() call (campaign runs one job)
 share one lockstep pool of at most _BLOCK live chains, whose state (point,
@@ -245,12 +245,12 @@ def _pool(tasks):
 
 
 def _catalog_entries(objective: Objective):
-    """(name, entry) of each catalog entry in the objective's a2 mode: all of
-    them when a2 is free, those with a2 = 0 in zero mode.
+    """(name, entry) of each catalog entry in the objective's region (by
+    region_violation): all of them when a2 is free, those with a2 = 0 in zero mode.
     """
     for name in CATALOG_NAMES:
         entry = catalog(name)
-        if objective.a2_mode == "free" or entry.param.a2 == 0:
+        if region_violation(entry.param, objective.a2_mode) is None:
             yield name, entry
 
 
@@ -383,7 +383,7 @@ def objective_reference(objective: Objective) -> tuple[str, str, float]:
 
 
 def catalog_witness(objective: Objective) -> tuple[str, float]:
-    """Best catalog attainment of the objective (zero mode filters to a2 = 0)."""
+    """Best catalog attainment over the entries campaigns start from."""
     best_name, best_val = "", -1.0
     for name, entry in _catalog_entries(objective):
         val = abs(closed_form(entry.window, objective.det))

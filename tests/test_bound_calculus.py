@@ -175,10 +175,12 @@ class TestSubstitutedConstants:
         chain = theorem_chain(tid, constants=self.RATIONAL)
         assert chain.computed_value == Fraction(chain.stated_text), tid
 
-    @pytest.mark.parametrize("tid, exact", [("thm2_ii", Fraction(1)), ("thm2_iv", Fraction(1, 4))])
+    @pytest.mark.parametrize("tid, exact", [("thm2_ii", Fraction(1)), ("thm2_iv", Fraction(1, 4)),
+                                            ("thm1_iii", Fraction(24)), ("thm2_iii", Fraction(2))])
     def test_quadratic_chains_follow_the_ledger_type(self, tid, exact):
-        # the inner maximum's coefficients follow the constants: Fractions in,
-        # a Fraction out; floats in, a float out (thm2_iv's vertex is x = 1/2)
+        # the chain's literals and the inner maximum's coefficients follow the
+        # constants: Fractions in, a Fraction out; floats in, a float out
+        # (thm2_iv's vertex is x = 1/2)
         value = theorem_chain(tid, constants=self.RATIONAL).computed_value
         assert isinstance(value, Fraction) and value == exact
         value = theorem_chain(tid).computed_value

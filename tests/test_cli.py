@@ -378,6 +378,44 @@ class TestPlumbing:
         assert text_header == rows[0]
         assert len(rows) - 1 == json_rows(json.loads(docs["json"])["results"])
 
+    _CHAIN = {"a2_zero", "computed_value", "delta", "determinant", "function_class", "match",
+              "note", "stated_text", "stated_value", "steps", "theorem_id", "truncated"}
+    _DEFECT = {"argmax", "function", "max_defect", "radii", "verdict"}
+
+    @pytest.mark.parametrize("argv,inputs,rows", [
+        pytest.param(("eval", "--function", "f1", "--det", "T3,3"), ("function", "coeffs", "det"),
+                     {None: {"closed_form", "crosscheck_delta", "determinant", "function",
+                             "modulus", "value", "window"}}, id="eval"),
+        pytest.param(("bounds", "--all"), ("theorem", "all"), {"chains": _CHAIN}, id="bounds"),
+        pytest.param(("search", "--objective", "T2,2", "--starts", "2", "--budget", "10"),
+                     ("objective", "a2zero", "seed", "starts", "budget"),
+                     {None: {"a2_mode", "best_point", "best_value", "best_window",
+                             "evaluations_used", "objective", "per_restart", "reference",
+                             "refine_budget", "restarts", "seed", "witness"}}, id="search"),
+        pytest.param(("membership", "--function", "f1", "--radius", "0.5"),
+                     ("function", "radius", "samples"), {None: _DEFECT | {"samples"}},
+                     id="membership"),
+        pytest.param(("report", "--starts", "1", "--budget", "0"),
+                     ("all", "starts", "budget", "campaign_seeds", "oracle_seeds"),
+                     {"campaigns": {"best_value", "evaluations_used", "objective", "reference",
+                                    "refine_budget", "restarts", "seed", "within_reference",
+                                    "witness"},
+                      "membership": _DEFECT, "bound_chains": _CHAIN}, id="report"),
+    ])
+    def test_document_shapes(self, argv, inputs, rows):
+        # the rows are built from the library's result objects, so a field
+        # renamed or added there shows here; text prints inputs in their order
+        args = cli.build_parser().parse_args(argv)
+        doc = args.handler(args)
+        assert tuple(doc["inputs"]) == inputs
+        results = json.loads(cli.render_json(doc))["results"]
+        for section, keys in rows.items():
+            assert set(results[section][0] if section else results) == keys, section
+        if argv[0] == "search":
+            assert set(results["best_point"]) == {"a2", "c1", "c2", "c3"}
+            pairs = results["per_restart"]  # the catalog witnesses' chains, then 2 restarts
+            assert len(pairs) > 2 and {tuple(map(type, pair)) for pair in pairs} == {(int, float)}
+
     def test_no_arguments_is_exit_2(self, capsys):
         assert main([]) == 2
 

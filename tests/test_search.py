@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +306,19 @@ class TestWitnesses:
     def test_zero_mode_filters(self):
         obj = Objective(DeterminantId.parse("T3,2"), "zero")
         assert [n for n, _ in search._catalog_entries(obj)] == ["identity", "f2", "f3", "f4"]
+
+    @pytest.mark.parametrize("mode", A2_MODES)
+    def test_entries_outside_the_region_are_not_selected(self, mode, monkeypatch):
+        # an a2 = 0 entry with |c2| = 0.9 > (1 - |c1|^2)/2 starts no chain in
+        # either mode, though its a2 alone would pass zero mode's rule
+        objective = Objective(T22.det, mode)
+        before = list(search._catalog_entries(objective))
+        outside = replace(search.catalog("identity"), name="outside",
+                          param=UParamPoint(0, SchwarzParams(0, 0.9, 0)))
+        real = search.catalog
+        monkeypatch.setattr(search, "CATALOG_NAMES", (*search.CATALOG_NAMES, "outside"))
+        monkeypatch.setattr(search, "catalog", lambda n: outside if n == "outside" else real(n))
+        assert list(search._catalog_entries(objective)) == before
 
     @pytest.mark.parametrize("objective", ALL_OBJECTIVES, ids=lambda o: o.label)
     def test_every_witness_passes_the_entry_check(self, objective):
@@ -661,6 +674,6 @@ class TestCampaigns:
             det, mode = label.split("|")
             job = (Objective(DeterminantId.parse(det), mode),
                    SearchConfig(seed=seed, restarts=30, refine_budget=400))
-            row, _ = _campaign_row(*job, campaign(*job))
-            del rows[label]["within_reference"]
+            row, within, _ = _campaign_row(*job, campaign(*job))
+            assert rows[label].pop("within_reference") is within
             assert json.loads(json.dumps(row)) == rows[label], label
