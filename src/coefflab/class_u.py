@@ -110,12 +110,12 @@ class SchwarzParams:
     c3: complex
 
     def __post_init__(self) -> None:
-        c = (complex(self.c1), complex(self.c2), complex(self.c3))
-        if not all(map(cmath.isfinite, c)):
-            raise ValueError(f"Schwarz coefficients must be finite, got {c}")
-        object.__setattr__(self, "c1", c[0])
-        object.__setattr__(self, "c2", c[1])
-        object.__setattr__(self, "c3", c[2])
+        c1, c2, c3 = complex(self.c1), complex(self.c2), complex(self.c3)
+        if not (cmath.isfinite(c1) and cmath.isfinite(c2) and cmath.isfinite(c3)):
+            raise ValueError(f"Schwarz coefficients must be finite, got {(c1, c2, c3)}")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
+        object.__setattr__(self, "c3", c3)
 
 
 @dataclass(frozen=True)
@@ -513,12 +513,14 @@ def membership_max_defect(
     points: list[complex] = []
     defects: list[float] = []
     tau = 2.0 * math.pi
+    # the unit circle at each angle, taken once and shared by every radius
+    theta = [tau * k / samples_per_circle for k in range(samples_per_circle)]
+    cos, sin = list(map(math.cos, theta)), list(map(math.sin, theta))
     for r in radii:
         h = FD_STEP_SCALE * r
         two_h = 2.0 * h
-        for k in range(samples_per_circle):
-            theta = tau * k / samples_per_circle
-            z = complex(r * math.cos(theta), r * math.sin(theta))
+        for c, s in zip(cos, sin):
+            z = complex(r * c, r * s)
             try:
                 g = z / evaluator(z)
                 gp = (z + h) / evaluator(z + h)

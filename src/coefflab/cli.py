@@ -16,7 +16,8 @@ BoundChain, DefectReport, SearchConfig, SearchResult or SchwarzParams, so a
 new field of one reaches the JSON with no edit here.  csv and text are
 flattened renderings of the same payload whose columns are chosen in
 _COLUMNS: nested keys joined with '_' (reference.id is reference_id) and
-lists joined with ';'.  Identical inputs produce byte-identical output.
+lists and tuples joined with ';'.  Identical inputs produce byte-identical
+output.
 
 Exit codes: 0 success, 2 argument or parse errors (non-finite literals,
 membership requests over the sample cap and an --out path that cannot be
@@ -214,7 +215,7 @@ def _csv_table(doc: dict) -> tuple[list[str], list[list[str]]]:
     rows = []
     for row in r["chains"] if cmd == "bounds" else [r]:
         values = [reduce(dict.__getitem__, path.split("."), row) for path in columns]
-        rows.append([";".join(map(_fmt, v)) if isinstance(v, list) else _fmt(v)
+        rows.append([";".join(map(_fmt, v)) if isinstance(v, (list, tuple)) else _fmt(v)
                      for v in values])
     return header, rows
 
@@ -371,7 +372,7 @@ def cmd_search(args) -> dict:
 def _membership_row(name: str, radii: tuple[float, ...], samples: int) -> dict:
     rep = membership_max_defect(named_evaluator(name), radii, samples)
     verdict = "evidence-member" if rep.max_defect < 1.0 else "non-member-witness"
-    return dict(vars(rep), function=name, radii=list(radii), verdict=verdict)
+    return dict(vars(rep), function=name, radii=radii, verdict=verdict)
 
 
 def cmd_membership(args) -> dict:

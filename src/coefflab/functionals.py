@@ -26,6 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,7 +51,7 @@ class CoefficientWindow:
     a: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(complex(v) for v in self.a)
+        coeffs = tuple(map(complex, self.a))
         if not coeffs:
             raise ValueError("a window needs at least a1")
         if coeffs[0] != 1:
@@ -87,7 +88,11 @@ _DET_ID_RE = re.compile(r"^([TH])(\d+),(\d+)$")
 @dataclass(frozen=True)
 class DeterminantId:
     """Names one determinant: kind 'T' (Toeplitz) or 'H' (Hankel), size q and
-    offset n, integers >= 1 (stored as plain ints; anything else raises ValueError)."""
+    offset n, integers >= 1 (stored as plain ints; anything else raises ValueError).
+
+    min_window, the closed form and (q <= 3) the cofactor layout are resolved
+    on first use and kept outside the fields: ==, hash, repr and pickle see
+    only kind, q and n."""
 
     kind: str
     q: int
@@ -99,12 +104,32 @@ class DeterminantId:
         for name in ("q", "n"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
-    @property
+    def __reduce__(self):
+        # rebuilt from the fields alone, so nothing resolved is pickled
+        return type(self), (self.kind, self.q, self.n)
+
+    @cached_property
     def min_window(self) -> int:
         """Smallest window length m able to fill the matrix."""
         if self.kind == "T":
             return self.n + self.q - 1
         return self.n + 2 * (self.q - 1)
+
+    @cached_property
+    def _form(self) -> Callable[..., complex] | None:
+        """The id's closed form, None outside _CLOSED_FORMS."""
+        return _CLOSED_FORMS.get(self)
+
+    @cached_property
+    def _cells(self) -> operator.itemgetter | None:
+        """For q <= 3, the getter of the matrix entries from w.a by their
+        0-based indices, row by row (for q = 1 the one entry itself); None for
+        larger q, whose LU route builds its entries after the window check."""
+        if self.q > 3:
+            return None
+        toeplitz, q = self.kind == "T", range(self.q)
+        return operator.itemgetter(
+            *(self.n - 1 + (abs(i - j) if toeplitz else i + j) for i in q for j in q))
 
     def __str__(self) -> str:
         return f"{self.kind}{self.q},{self.n}"
@@ -136,20 +161,21 @@ SUPPORTED_CLOSED_FORM_IDS: tuple[DeterminantId, ...] = tuple(_CLOSED_FORMS)
 
 
 def _require_window(w: CoefficientWindow, det: DeterminantId) -> None:
-    if w.m < det.min_window:
+    if len(w.a) < det.min_window:
         raise WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {w.m}")
 
 
-def _det_cofactor(m: list[list[complex]], q: int) -> complex:
+def _det_cofactor(e, q: int) -> complex:
+    """Determinant of the q x q matrix with entries e, row by row (e itself at q = 1)."""
     if q == 1:
-        return m[0][0]
+        return e
     if q == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+        return e[0] * e[3] - e[1] * e[2]
     # q == 3, first-row expansion
     return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        e[0] * (e[4] * e[8] - e[5] * e[7])
+        - e[1] * (e[3] * e[8] - e[5] * e[6])
+        + e[2] * (e[3] * e[7] - e[4] * e[6])
     )
 
 
@@ -168,14 +194,15 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     q >= 4 goes through LU with partial pivoting (numpy).
     """
     _require_window(w, det)
-    if det.q <= 3:
-        return _det_cofactor(_entries(w, det), det.q)
+    cells = det._cells
+    if cells is not None:
+        return _det_cofactor(cells(w.a), det.q)
     return complex(np.linalg.det(np.array(_entries(w, det), dtype=complex)))
 
 
 def closed_form_function(det: DeterminantId) -> Callable[..., complex]:
     """The polynomial identity for a supported id, as callable(a2, a3, a4, a5)."""
-    fn = _CLOSED_FORMS.get(det)
+    fn = det._form
     if fn is None:
         raise UnsupportedId(f"no closed form for {det}")
     return fn
@@ -185,5 +212,7 @@ def closed_form(w: CoefficientWindow, det: DeterminantId) -> complex:
     """Evaluate the polynomial identity for one of the seven supported ids."""
     fn = closed_form_function(det)
     _require_window(w, det)
-    padded = w.a + (0j,) * (5 - w.m) if w.m < 5 else w.a
-    return fn(padded[1], padded[2], padded[3], padded[4])
+    a = w.a
+    if len(a) < 5:
+        a += (0j,) * (5 - len(a))
+    return fn(a[1], a[2], a[3], a[4])

@@ -29,7 +29,7 @@ class TruncatedSeries:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(complex(c) for c in self.coeffs)
+        coeffs = tuple(map(complex, self.coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
         if not all(map(cmath.isfinite, coeffs)):
@@ -51,7 +51,8 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
     ``b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}``.  An inversion that
     overflows raises ValueError, as a TruncatedSeries must be finite.
     """
-    c0 = s.coeffs[0]
+    c = s.coeffs
+    c0 = c[0]
     if abs(c0) < ZERO_TERM_THRESHOLD:
         raise ZeroConstantTerm(
             f"constant term {c0!r} is below the invertibility threshold "
@@ -59,9 +60,9 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
         )
     inv = 1.0 / c0
     out = [inv]
-    for k in range(1, s.order + 1):
+    for k in range(1, len(c)):
         acc = 0j
         for j in range(1, k + 1):
-            acc += s.coeffs[j] * out[k - j]
+            acc += c[j] * out[k - j]
         out.append(-inv * acc)
     return TruncatedSeries(tuple(out))

@@ -300,6 +300,49 @@ def test_map_and_series_agree_on_sampled_points():
     assert worst <= 1e-10
 
 
+class TestReferenceArithmetic:
+    """The map and the defect check equal their definitions bit for bit (==, not approx)."""
+
+    @staticmethod
+    def points(count: int) -> list[UParamPoint]:
+        rng = np.random.default_rng(20261019)
+        return [sample_point(rng, mode) for mode in ("free", "zero") for _ in range(count)]
+
+    def test_u_coefficients_is_the_polynomial_map(self):
+        for pt in self.points(100):
+            a2, (c1, c2, c3) = pt.a2, (pt.schwarz.c1, pt.schwarz.c2, pt.schwarz.c3)
+            a22 = a2 * a2
+            a = (1.0, a2, a22 + c1, c2 + 2.0 * a2 * c1 + a22 * a2,
+                 c3 + 2.0 * a2 * c2 + c1 * c1 + 3.0 * a22 * c1 + a22 * a22)
+            for m in (1, 3, 5):
+                assert u_coefficients(pt, m).a == a[:m]
+
+    def test_u_coefficients_beyond_a5_is_the_series(self):
+        for pt in self.points(20):
+            p = pt.schwarz
+            lead = TruncatedSeries((1.0, -pt.a2, -p.c1, -p.c2, -p.c3, 0.0, 0.0))
+            assert u_coefficients(pt, 7).a == class_u.series_reciprocal(lead).coeffs
+
+    @pytest.mark.parametrize("name", ["f1", "f4", "koebe", "z+2z3"])
+    def test_membership_is_the_per_radius_loop(self, name):
+        f = named_evaluator(name)
+        radii, samples = (0.3, 0.5, 0.7, 0.9, 0.999), 96
+        points, defects = [], []
+        for r in radii:
+            h = class_u.FD_STEP_SCALE * r
+            for k in range(samples):
+                theta = 2.0 * math.pi * k / samples
+                z = complex(r * math.cos(theta), r * math.sin(theta))
+                g, gp, gm = z / f(z), (z + h) / f(z + h), (z - h) / f(z - h)
+                points.append(z)
+                defects.append(abs(g - z * (gp - gm) / (2.0 * h) - 1.0))
+        best = max(defects)
+        floor = best - class_u.ARGMAX_TIE_TOL * max(1.0, best)
+        argmax = next(z for z, d in zip(points, defects) if d >= floor)
+        rep = membership_max_defect(f, radii, samples)
+        assert (rep.max_defect, rep.argmax) == (best, argmax)
+
+
 class TestCatalog:
     def test_names(self):
         assert CATALOG_NAMES == ("identity", "f1", "f2", "f3", "f4", "koebe")

@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ class TestEval:
             assert run(capsys, *argv) == (3, "", "error: T2,2 overflows on this window\n")
             assert run(capsys, *argv, "--out", str(target))[0] == 3
             assert not target.exists()
+
+    def test_exit_3_at_once_on_a_huge_id_in_every_format(self, capsys):
+        # the window check comes before anything is built for q = 100000
+        for fmt in ("json", "csv", "text"):
+            tracemalloc.start()
+            try:
+                argv = ("eval", "--coeffs", "1,2,3", "--det", "T100000,1", "--format", fmt)
+                assert run(capsys, *argv) == (
+                    3, "", "error: T100000,1 needs a window of length >= 100000, got 3\n")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_exit_2_on_missing_required(self, capsys):
         assert run(capsys, "eval", "--det", "T2,2")[0] == 2
@@ -415,6 +429,16 @@ class TestPlumbing:
             assert set(results["best_point"]) == {"a2", "c1", "c2", "c3"}
             pairs = results["per_restart"]  # the catalog witnesses' chains, then 2 restarts
             assert len(pairs) > 2 and {tuple(map(type, pair)) for pair in pairs} == {(int, float)}
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_tuple_cells_are_joined_like_lists(self, fmt):
+        row = {"function": "f1", "radii": (0.9, 0.99), "samples": 8, "max_defect": 0.5,
+               "argmax": 0.9 + 0j, "verdict": "evidence-member"}
+        doc = cli.document("membership", {}, row, [])
+        listed = cli.document("membership", {}, dict(row, radii=[0.9, 0.99]), [])
+        render = cli.render_csv if fmt == "csv" else cli.render_text
+        assert render(doc) == render(listed)
+        assert "0.9;0.99" in render(doc) and "(0.9" not in render(doc)
 
     def test_no_arguments_is_exit_2(self, capsys):
         assert main([]) == 2

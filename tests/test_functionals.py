@@ -4,6 +4,10 @@ Every fixed value below was derived by independent hand or rational
 arithmetic on the matrix definition, not read back from the implementation.
 """
 
+import dataclasses
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -209,3 +213,165 @@ def test_det_value_dispatches_both_kinds():
             h = [[a[n + i + j - 2] for j in range(1, q + 1)] for i in range(1, q + 1)]
             assert det_value(w, DeterminantId("T", q, n)) == pytest.approx(np.linalg.det(t))
             assert det_value(w, DeterminantId("H", q, n)) == pytest.approx(np.linalg.det(h))
+
+
+def _disc_windows(seed: int, count: int, length: int) -> list[CoefficientWindow]:
+    """count windows (1, a2, ..., a_length) with entries area-uniform on the radius-5 disc."""
+    rng = np.random.default_rng(seed)
+    r = 5.0 * np.sqrt(rng.random((count, length - 1)))
+    th = 2.0 * np.pi * rng.random((count, length - 1))
+    return [CoefficientWindow((1.0, *map(complex, row))) for row in r * np.exp(1j * th)]
+
+
+#: The seven identities of the module docstring, in the table's operand order.
+REFERENCE_FORMS = {
+    "H2,2": lambda a2, a3, a4, a5: a2 * a4 - a3 * a3,
+    "H2,3": lambda a2, a3, a4, a5: a3 * a5 - a4 * a4,
+    "T2,2": lambda a2, a3, a4, a5: a2 * a2 - a3 * a3,
+    "T2,3": lambda a2, a3, a4, a5: a3 * a3 - a4 * a4,
+    "T3,1": lambda a2, a3, a4, a5: 1.0 - 2.0 * a2 * a2 + 2.0 * a2 * a2 * a3 - a3 * a3,
+    "T3,2": lambda a2, a3, a4, a5: (a2 - a4) * (a2 * a2 - 2.0 * a3 * a3 + a2 * a4),
+    "T3,3": lambda a2, a3, a4, a5: (a3 - a5) * (a3 * a3 - 2.0 * a4 * a4 + a3 * a5),
+}
+
+
+def reference_det(w: CoefficientWindow, det: DeterminantId) -> complex:
+    """The docstring's matrix, filled through w.coeff, expanded along its first row."""
+    q, n = det.q, det.n
+    if det.kind == "T":
+        m = [[w.coeff(n + abs(i - j)) for j in range(q)] for i in range(q)]
+    else:
+        m = [[w.coeff(n + i + j) for j in range(q)] for i in range(q)]
+    if q == 1:
+        return m[0][0]
+    if q == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+SMALL_IDS = [DeterminantId(kind, q, n) for kind in "TH" for q in (1, 2, 3) for n in (1, 2, 3)]
+
+
+class TestReferenceArithmetic:
+    """Both routes equal their definitions bit for bit (==, not approx)."""
+
+    WINDOWS = _disc_windows(20261019, 200, 7)
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
+    def test_closed_form(self, det):
+        ref = REFERENCE_FORMS[str(det)]
+        for w in self.WINDOWS:
+            assert closed_form(w, det) == ref(*w.a[1:5])
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
+    def test_closed_form_pads_a_short_window_with_zeros(self, det):
+        ref = REFERENCE_FORMS[str(det)]
+        for w in self.WINDOWS[:20]:
+            short = CoefficientWindow(w.a[:det.min_window])
+            padded = short.a + (0j,) * (5 - short.m)
+            assert closed_form(short, det) == ref(*padded[1:5])
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS + tuple(SMALL_IDS), ids=str)
+    def test_det_value(self, det):
+        for w in self.WINDOWS:
+            assert det_value(w, det) == reference_det(w, det)
+            exact = CoefficientWindow(w.a[:det.min_window])
+            assert det_value(exact, det) == reference_det(exact, det)
+
+
+class TestNoWorkGrowsWithQ:
+    """Nothing about an id is built in proportion to q before the window check."""
+
+    SHORT = CoefficientWindow((1, 2, 3))
+
+    @pytest.mark.parametrize("kind", "TH")
+    def test_huge_id_fails_at_once(self, kind):
+        tracemalloc.start()
+        try:
+            det = DeterminantId(kind, 10**6, 1)
+            with pytest.raises(WindowTooShort):
+                det_value(self.SHORT, det)
+            with pytest.raises(UnsupportedId):
+                closed_form(self.SHORT, det)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("kind", "TH")
+    def test_large_q_builds_no_cell_table(self, kind):
+        # a per-id table of q^2 cells would take megabytes here
+        tracemalloc.start()
+        try:
+            with pytest.raises(WindowTooShort):
+                det_value(self.SHORT, DeterminantId(kind, 1000, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
+    def test_supported_ids_check_the_window(self, det):
+        for route in (closed_form, det_value):
+            if det.min_window > 3:
+                with pytest.raises(WindowTooShort):
+                    route(self.SHORT, det)
+            with pytest.raises(WindowTooShort):
+                route(CoefficientWindow((1,)), det)
+
+
+class TestIdentity:
+    """What an id resolves for the evaluators never shows in its identity."""
+
+    @staticmethod
+    def resolved(det: DeterminantId) -> DeterminantId:
+        w = CoefficientWindow((1, 2j, -3, -4j, 5, 6, 7))
+        det_value(w, det)
+        try:
+            closed_form(w, det)
+        except UnsupportedId:
+            pass
+        return det
+
+    @pytest.mark.parametrize("text", ["T2,2", "H2,3", "T3,1", "T4,1", "H3,1"])
+    def test_repr_fields_and_asdict(self, text):
+        fresh, used = DeterminantId.parse(text), self.resolved(DeterminantId.parse(text))
+        assert repr(used) == repr(fresh) == (
+            f"DeterminantId(kind={text[0]!r}, q={fresh.q}, n={fresh.n})")
+        assert [f.name for f in dataclasses.fields(used)] == ["kind", "q", "n"]
+        assert dataclasses.asdict(used) == {"kind": text[0], "q": fresh.q, "n": fresh.n}
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS + (DeterminantId("T", 4, 1),),
+                             ids=str)
+    def test_equality_and_hash(self, det):
+        self.resolved(det)
+        parsed = DeterminantId.parse(str(det))
+        built = DeterminantId(det.kind, np.int64(det.q), np.uint8(det.n))
+        for other in (parsed, built):
+            assert other == det and hash(other) == hash(det)
+        assert {det: 1}[built] == 1
+        assert DeterminantId(det.kind, det.q, det.n + 1) != det
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS + (DeterminantId("H", 4, 1),),
+                             ids=str)
+    def test_replace_and_pickle(self, det):
+        self.resolved(det)
+        moved = dataclasses.replace(det, n=det.n + 1)
+        assert (moved.kind, moved.q, moved.n) == (det.kind, det.q, det.n + 1)
+        assert moved.min_window == det.min_window + 1
+        back = pickle.loads(pickle.dumps(det))
+        assert back == det and hash(back) == hash(det) and repr(back) == repr(det)
+        w = CoefficientWindow((1, 2j, -3, -4j, 5, 6, 7))
+        assert det_value(w, back) == det_value(w, det)
+
+    @pytest.mark.parametrize("text", ["T4,1", "H3,1", "T2,1", "H1,1"])
+    def test_unsupported_id_still_raises(self, text):
+        det = self.resolved(DeterminantId.parse(text))
+        with pytest.raises(UnsupportedId):
+            closed_form(F1, det)
+        with pytest.raises(UnsupportedId):
+            closed_form_function(det)

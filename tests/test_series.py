@@ -1,5 +1,6 @@
 """Series reciprocal against hand-computed values and a Cauchy-product oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,3 +120,20 @@ def test_reciprocal_round_trip(s):
     prod = series_mul(s, series_reciprocal(s))
     assert prod.order == s.order
     assert all(abs(c - e) <= 1e-10 for c, e in zip(prod.coeffs, (1, *[0] * s.order)))
+
+
+def test_reciprocal_is_the_forward_recursion_bit_for_bit():
+    # b0 = 1/c0, b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}, summed in j order
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        order = int(rng.integers(0, 9))
+        c = [complex(1.0 + rng.random(), rng.random())]
+        c += [complex(*rng.normal(size=2)) for _ in range(order)]
+        inv = 1.0 / c[0]
+        b = [inv]
+        for k in range(1, order + 1):
+            acc = 0j
+            for j in range(1, k + 1):
+                acc += c[j] * b[k - j]
+            b.append(-inv * acc)
+        assert series_reciprocal(TruncatedSeries(tuple(c))).coeffs == tuple(b)
