@@ -15,7 +15,11 @@ coefficient map used throughout:
     a5 = c3 + 2 a2 c2 + c1^2 + 3 a2^2 c1 + a2^4
 
 _coefficient_routes is the one place this map is compared with the series
-route; u_coefficients and the report's map oracle both read its gaps.
+route, in one pass: it runs series._reciprocal, the forward recursion behind
+series_reciprocal (which class_u re-exports as that route's public form),
+on the tuple of z/f's coefficients and checks the result finite once, with
+no TruncatedSeries built on the way in or out; u_coefficients and the
+report's map oracle both read its gaps.
 
 The search region is the point set (a2, c1, c2, c3) with |a2| <= 2 and the
 necessary conditions
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -54,7 +59,7 @@ import numpy as np
 
 from .bound_calculus import constant
 from .functionals import CoefficientWindow, _integer
-from .series import TruncatedSeries, series_reciprocal
+from .series import _reciprocal, _require_finite, series_reciprocal
 
 #: Feasibility inequalities are checked with this additive slack.
 FEASIBILITY_TOL = 1e-12
@@ -211,8 +216,11 @@ def project_feasible(p: SchwarzParams) -> SchwarzParams:
 def within_caps(a3, a4, a5):
     """Whether (a3, a4, a5) respects the class coefficient caps; elementwise.
 
-    The one cap check: region_violation calls it on complex numbers, the
-    sampler on arrays of attempts and the search kernel on arrays of proposals.
+    The one cap check, always on arrays of coefficient_quintet's values: the
+    sampler's attempts, the search kernel's proposals, and region_violation's
+    one-row array, so the verdict on a point that the search accepted at the
+    slack edge is the search's own, bit for bit (scalar complex arithmetic
+    may differ from numpy's in the last bits).
     """
     return (abs(a3) <= _CAP3) & (abs(a4) <= _CAP4) & (abs(a5) <= _CAP5)
 
@@ -331,7 +339,8 @@ def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
         return f"violates the region inequalities: {p}"
     if a2_mode == "zero" and point.a2 != 0:
         return f"needs a2 = 0 in zero mode, got a2 = {point.a2}"
-    if not within_caps(*coefficient_quintet(point.a2, p.c1, p.c2, p.c3)):
+    z = _rows((point,)).view(complex)  # one row, through the search's arithmetic
+    if not within_caps(*coefficient_quintet(z[..., 0], z[..., 1], z[..., 2], z[..., 3]))[0]:
         return "violates a class coefficient cap"
     return None
 
@@ -339,13 +348,15 @@ def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
 def _coefficient_routes(a2: complex, c1: complex, c2: complex, c3: complex,
                         m: int) -> tuple[tuple, tuple, tuple]:
     """a1..am two ways: the polynomial map's a1..a5 (the first m of them), the
-    series reciprocal of z/f = 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4 (zero-padded
-    to order m-1), f/z = a1 + a2 z + ...; and |map - series| at each shared ak.
+    series reciprocal of z/f = 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4 (cut or
+    zero-padded to order m-1), f/z = a1 + a2 z + ...; and |map - series| at
+    each shared ak.  A series that overflows raises ValueError.
     """
-    lead = [1.0, -a2, -c1, -c2, -c3]
-    series = series_reciprocal(TruncatedSeries(tuple((lead + [0.0] * max(0, m - 5))[:m]))).coeffs
+    lead = (1 + 0j, -a2, -c1, -c2, -c3)
+    series = _reciprocal(lead[:m] if m <= 5 else lead + (0j,) * (m - 5))
+    _require_finite(series)
     direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))[:m]
-    return direct, series, tuple(abs(x - y) for x, y in zip(direct, series))
+    return direct, series, tuple(map(abs, map(operator.sub, direct, series)))
 
 
 def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
@@ -353,16 +364,17 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
 
     The polynomial map and the series-inversion route (_coefficient_routes)
     must agree to MAP_AGREEMENT_TOL on a1..a5, else CrossCheckFailed is
-    raised; for m <= 5 the polynomial values are returned, for larger m the
-    series route's.  m that is not an integer >= 1 raises ValueError.
+    raised, naming the first ak that disagrees (a NaN gap disagrees); for
+    m <= 5 the polynomial values are returned, for larger m the series
+    route's.  m that is not an integer >= 1 raises ValueError.
     """
     m = _integer("m", m, 1)
     p = pt.schwarz
     direct, series, gaps = _coefficient_routes(pt.a2, p.c1, p.c2, p.c3, m)
-    for k, gap in enumerate(gaps, start=1):
-        if not gap <= MAP_AGREEMENT_TOL:
-            raise CrossCheckFailed(
-                f"coefficient routes disagree at a{k}: {direct[k - 1]} vs {series[k - 1]}")
+    if not all(map(MAP_AGREEMENT_TOL.__ge__, gaps)):
+        k = next(k for k, gap in enumerate(gaps) if not gap <= MAP_AGREEMENT_TOL)
+        raise CrossCheckFailed(
+            f"coefficient routes disagree at a{k + 1}: {direct[k]} vs {series[k]}")
     return CoefficientWindow(direct if m <= 5 else series)
 
 

@@ -16,8 +16,9 @@ BoundChain, DefectReport, SearchConfig, SearchResult or SchwarzParams, so a
 new field of one reaches the JSON with no edit here.  csv and text are
 flattened renderings of the same payload whose columns are chosen in
 _COLUMNS: nested keys joined with '_' (reference.id is reference_id) and
-lists and tuples joined with ';'.  Identical inputs produce byte-identical
-output.
+lists and tuples joined with ';'.  The text header's inputs line renders
+each input the same way, a dict as key=value items joined with ';'.
+Identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 argument or parse errors (non-finite literals,
 membership requests over the sample cap and an --out path that cannot be
@@ -167,6 +168,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cell(x) -> str:
+    """x as one csv/text field: lists and tuples joined with ';', dicts as
+    key=value items joined with ';', anything else through _fmt."""
+    if isinstance(x, (list, tuple)):
+        return ";".join(map(_fmt, x))
+    if isinstance(x, dict):
+        return ";".join(f"{k}={_fmt(v)}" for k, v in x.items())
+    return _fmt(x)
+
+
 #: The csv/text columns of each command: paths into one result row, with "."
 #: stepping into a nested dict.  bounds has a row per chain, the others one.
 _COLUMNS = {
@@ -215,8 +226,7 @@ def _csv_table(doc: dict) -> tuple[list[str], list[list[str]]]:
     rows = []
     for row in r["chains"] if cmd == "bounds" else [r]:
         values = [reduce(dict.__getitem__, path.split("."), row) for path in columns]
-        rows.append([";".join(map(_fmt, v)) if isinstance(v, (list, tuple)) else _fmt(v)
-                     for v in values])
+        rows.append(list(map(_cell, values)))
     return header, rows
 
 
@@ -231,7 +241,7 @@ def render_csv(doc: dict) -> str:
 
 def render_text(doc: dict) -> str:
     lines = [f"coefflab {doc['command']} (v{doc['tool_version']})"]
-    inputs = ", ".join(f"{k}={_fmt(v)}" for k, v in doc["inputs"].items())
+    inputs = ", ".join(f"{k}={_cell(v)}" for k, v in doc["inputs"].items())
     lines.append(f"inputs: {inputs}" if inputs else "inputs: (none)")
     header, rows = _csv_table(doc)
     widths = [max(len(header[i]), *(len(row[i]) for row in rows)) if rows else len(header[i])

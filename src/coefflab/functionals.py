@@ -160,9 +160,10 @@ _CLOSED_FORMS: dict[DeterminantId, Callable[..., complex]] = {
 SUPPORTED_CLOSED_FORM_IDS: tuple[DeterminantId, ...] = tuple(_CLOSED_FORMS)
 
 
-def _require_window(w: CoefficientWindow, det: DeterminantId) -> None:
-    if len(w.a) < det.min_window:
-        raise WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {w.m}")
+def _too_short(w: CoefficientWindow, det: DeterminantId) -> WindowTooShort:
+    """The error for a window shorter than det.min_window; both routes compare
+    len(w.a) with it inline and raise this."""
+    return WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {w.m}")
 
 
 def _det_cofactor(e, q: int) -> complex:
@@ -193,7 +194,8 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     Cofactor expansion for q <= 3 keeps small cases exact and dependency-free;
     q >= 4 goes through LU with partial pivoting (numpy).
     """
-    _require_window(w, det)
+    if len(w.a) < det.min_window:
+        raise _too_short(w, det)
     cells = det._cells
     if cells is not None:
         return _det_cofactor(cells(w.a), det.q)
@@ -210,9 +212,10 @@ def closed_form_function(det: DeterminantId) -> Callable[..., complex]:
 
 def closed_form(w: CoefficientWindow, det: DeterminantId) -> complex:
     """Evaluate the polynomial identity for one of the seven supported ids."""
-    fn = closed_form_function(det)
-    _require_window(w, det)
+    fn = det._form or closed_form_function(det)  # which raises UnsupportedId
     a = w.a
+    if len(a) < det.min_window:
+        raise _too_short(w, det)
     if len(a) < 5:
         a += (0j,) * (5 - len(a))
     return fn(a[1], a[2], a[3], a[4])

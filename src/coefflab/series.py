@@ -2,8 +2,10 @@
 
 A :class:`TruncatedSeries` stores Taylor coefficients ``c0..cN`` at a fixed
 truncation order ``N``.  The one operation is :func:`series_reciprocal`,
-which inverts a series at its own order; class_u uses it to turn the z/f
-polynomial of a parameter point into the coefficients of f/z.
+which inverts a series at its own order.  Its forward recursion is the
+private ``_reciprocal``, on a plain tuple of complex coefficients; class_u
+calls it directly to turn the z/f polynomial of a parameter point into the
+coefficients of f/z, without wrapping its own values in a series.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ class TruncatedSeries:
         coeffs = tuple(map(complex, self.coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least its constant term")
-        if not all(map(cmath.isfinite, coeffs)):
-            raise ValueError(f"series coefficients must be finite, got {coeffs}")
+        _require_finite(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -44,14 +45,21 @@ class TruncatedSeries:
         return self.coeffs[k]
 
 
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse at the same order.
+def _require_finite(coeffs: tuple) -> None:
+    """ValueError unless every coefficient is finite: the one check of a series."""
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ValueError(f"series coefficients must be finite, got {coeffs}")
+
+
+def _reciprocal(c: tuple) -> tuple:
+    """The coefficients of the inverse of the series with coefficients c, a
+    non-empty tuple of complex numbers, at the same order.
 
     Uses the forward recursion ``b0 = 1/c0``,
-    ``b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}``.  An inversion that
-    overflows raises ValueError, as a TruncatedSeries must be finite.
+    ``b_k = -(1/c0) * sum_{j=1..k} c_j b_{k-j}``.  A constant term below
+    ZERO_TERM_THRESHOLD raises ZeroConstantTerm; the result is not checked
+    for overflow, which its callers do with _require_finite.
     """
-    c = s.coeffs
     c0 = c[0]
     if abs(c0) < ZERO_TERM_THRESHOLD:
         raise ZeroConstantTerm(
@@ -65,4 +73,12 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
         for j in range(1, k + 1):
             acc += c[j] * out[k - j]
         out.append(-inv * acc)
-    return TruncatedSeries(tuple(out))
+    return tuple(out)
+
+
+def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
+    """Multiplicative inverse at the same order, by the forward recursion of
+    _reciprocal.  An inversion that overflows raises ValueError, as a
+    TruncatedSeries must be finite.
+    """
+    return TruncatedSeries(_reciprocal(s.coeffs))

@@ -269,18 +269,45 @@ class TestCoefficientMap:
     def test_route_disagreement_raises(self, monkeypatch):
         # drift the series route of _coefficient_routes at a3: its gap shows
         # the drift, and u_coefficients refuses the point
-        real = class_u.series_reciprocal
+        real = class_u._reciprocal
 
-        def drifted(s):
-            a = real(s).coeffs
-            return TruncatedSeries(a[:2] + (a[2] + 1e-6,) + a[3:])
+        def drifted(c):
+            a = real(c)
+            return a[:2] + (a[2] + 1e-6,) + a[3:]
 
-        monkeypatch.setattr(class_u, "series_reciprocal", drifted)
+        monkeypatch.setattr(class_u, "_reciprocal", drifted)
         direct, series, gaps = class_u._coefficient_routes(2j, 1, 0, 0, 5)
         assert direct == (1.0, 2j, -3, -4j, 5) and series[2] == -3 + 1e-6
         assert gaps[2] == pytest.approx(1e-6) and gaps[:2] + gaps[3:] == (0, 0, 0, 0)
         with pytest.raises(CrossCheckFailed, match="a3"):
             u_coefficients(F1_POINT, 5)
+
+    def test_nan_gap_raises(self, monkeypatch):
+        # a NaN a4 on the map's side gives a NaN gap, which is a disagreement
+        # at a4 even though a1..a3 and a5 agree
+        real = class_u.coefficient_quintet
+
+        def poisoned(*args):
+            a3, _, a5 = real(*args)
+            return a3, complex("nan"), a5
+
+        monkeypatch.setattr(class_u, "coefficient_quintet", poisoned)
+        with pytest.raises(CrossCheckFailed, match="a4"):
+            u_coefficients(F1_POINT, 5)
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_overflowing_series_raises(self, m):
+        # c1 = 1e200 inverts to a4 = c1^2 = inf: the one finiteness check of
+        # the series refuses it with the series' own message
+        pt = UParamPoint(0, SchwarzParams(1e200, 0, 0))
+        with pytest.raises(ValueError, match=r"^series coefficients must be finite, got \(") as e:
+            u_coefficients(pt, m)
+        assert type(e.value) is ValueError
+
+    def test_short_window_inverts_only_its_order(self):
+        # at m = 3 the series stops at order 2, before the overflow at a4
+        # above, so the same point gives a finite window
+        assert u_coefficients(UParamPoint(0, SchwarzParams(1e200, 0, 0)), 3).a == (1, 0, 1e200)
 
     @pytest.mark.parametrize("m", [1, 3, 5, 8])
     def test_routes_share_the_first_five(self, m):

@@ -440,6 +440,18 @@ class TestPlumbing:
         assert render(doc) == render(listed)
         assert "0.9;0.99" in render(doc) and "(0.9" not in render(doc)
 
+    def test_text_inputs_line_joins_like_the_cells(self, capsys):
+        # the inputs line renders a list as its cell does, and a dict as
+        # key=value items, never as a Python repr
+        _, out, _ = run(capsys, "membership", "--function", "f4", "--radius", "0.5",
+                        "--radius", "0.9", "--radius", "0.999", "--format", "text")
+        assert out.splitlines()[1] == "inputs: function=f4, radius=0.5;0.9;0.999, samples=256"
+        assert out.splitlines()[3].split()[1] == "0.5;0.9;0.999"
+        doc = cli.document("membership", {"seeds": {"a|free": 1, "b": 2.5}, "pair": (1j, 2)},
+                           {"function": "f1", "radii": [0.5], "samples": 8, "max_defect": 0.5,
+                            "argmax": 0.5 + 0j, "verdict": "evidence-member"}, [])
+        assert cli.render_text(doc).splitlines()[1] == "inputs: seeds=a|free=1;b=2.5, pair=1i;2"
+
     def test_no_arguments_is_exit_2(self, capsys):
         assert main([]) == 2
 

@@ -433,6 +433,30 @@ class TestCampaign:
             campaign(Objective(DeterminantId.parse("T3,2")),
                      SearchConfig(seed=1, restarts=5, refine_budget=2000))
 
+    def test_winner_check_agrees_with_the_engine_at_the_cap_edge(self):
+        # points a few ulps either side of |a5| = 5 + FEASIBILITY_TOL, made by
+        # setting c3 along a5's direction: scalar complex arithmetic reads
+        # some of them as breaking the cap where the engine's arrays accept
+        # them, and such a winner would raise CrossCheckFailed
+        rng = np.random.default_rng(5)
+        edge, ulp = 5.0 + 1e-12, math.ulp(5.0)
+        points = []
+        while len(points) < 350:
+            p = sample_point(rng, "free")
+            a2, c1, c2 = p.a2, p.schwarz.c1, p.schwarz.c2
+            rest = 2.0 * a2 * c2 + c1 * c1 + 3.0 * a2 * a2 * c1 + a2 ** 4
+            if not abs(edge - abs(rest)) <= 0.9 * _c3_bound(abs(c1), abs(c2)):
+                continue  # c3 cannot reach the edge inside its disc
+            for k in range(-3, 4):
+                c3 = (edge + k * ulp) * rest / abs(rest) - rest
+                a3, a4, _ = coefficient_quintet(a2, c1, c2, c3)
+                if abs(a3) > 2.9 or abs(a4) > 3.9:
+                    break  # another cap would decide
+                points.append(UParamPoint(a2, SchwarzParams(c1, c2, c3)))
+        engine = search._values(_rows(points), lambda a2, a3, a4, a5: a5) >= 0.0
+        assert 0 < engine.sum() < len(points)
+        assert [region_violation(p, "free") is None for p in points] == engine.tolist()
+
     def test_winner_recheck_survives_python_O(self):
         # python -O strips assert statements; the re-check must still raise
         script = textwrap.dedent("""

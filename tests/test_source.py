@@ -104,8 +104,9 @@ def _imported_names(tree: ast.AST) -> dict[str, str]:
 
 
 #: Names a module imports only to re-export them, as its docstring says:
-#: search re-exports class_u's sampler and a2 modes.
-_RE_EXPORTS = {"search.py": {"sample_point", "A2_MODES"}}
+#: search re-exports class_u's sampler and a2 modes, class_u the public
+#: series route its coefficient map is compared with.
+_RE_EXPORTS = {"search.py": {"sample_point", "A2_MODES"}, "class_u.py": {"series_reciprocal"}}
 
 
 def test_every_imported_name_is_used():
