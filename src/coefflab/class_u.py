@@ -16,10 +16,9 @@ coefficient map used throughout:
 
 _coefficient_routes is the one place this map is compared with the series
 route, in one pass: it runs series._reciprocal, the forward recursion behind
-series_reciprocal (which class_u re-exports as that route's public form),
-on the tuple of z/f's coefficients and checks the result finite once, with
-no TruncatedSeries built on the way in or out; u_coefficients and the
-report's map oracle both read its gaps.
+series.series_reciprocal, on the tuple of z/f's coefficients and checks the
+result finite once, with no TruncatedSeries built on the way in or out;
+u_coefficients and the report's map oracle both read its gaps.
 
 The search region is the point set (a2, c1, c2, c3) with |a2| <= 2 and the
 necessary conditions
@@ -59,7 +58,7 @@ import numpy as np
 
 from .bound_calculus import constant
 from .functionals import CoefficientWindow, _integer
-from .series import _reciprocal, _require_finite, series_reciprocal
+from .series import _reciprocal, _require_finite
 
 #: Feasibility inequalities are checked with this additive slack.
 FEASIBILITY_TOL = 1e-12
@@ -174,7 +173,9 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
 
 
 def pull_back(z: np.ndarray, m: np.ndarray | None = None) -> None:
-    """Pull points, complex rows [a2, c1, c2, c3], into the region in place; elementwise.
+    """Pull points into the region in place; elementwise.  z is entry-first:
+    z[0], z[1], z[2], z[3] hold a2, c1, c2, c3 over any trailing shape, one
+    point of shape (4,) or the search's proposals of shape (4, chains, moves).
 
     The package's one projection, behind project_feasible and the search's
     pull-back of every proposal.  One pass: the moduli of all four entries
@@ -183,21 +184,25 @@ def pull_back(z: np.ndarray, m: np.ndarray | None = None) -> None:
     then the radii in order (A2_RADIUS, the c1 radius, then the c2 and c3
     bounds clamped at 0), in which a shrunk entry's bound stands in for its
     modulus, so once c1 reaches the unit circle the tail is exactly zero at
-    every phase; then one multiply by radius / modulus where the modulus
-    exceeds the radius, and by 1 elsewhere (a no-op, bit for bit, when a2 = 0;
-    a zero part may change sign).  No slack: a rescaled entry may land an ulp
-    above its bound, inside FEASIBILITY_TOL.  The caps are not projected onto;
+    every phase; then one multiply by the factor min(radius / modulus, 1),
+    which is radius / modulus where the modulus exceeds the radius and
+    exactly 1 elsewhere, 0 / 0 (a NaN, which fmin drops) and a quotient that
+    overflows included: a no-op, bit for bit, when a2 = 0, though a zero part
+    may change sign.  No slack: a rescaled entry may land an ulp above its
+    bound, inside FEASIBILITY_TOL.  The caps are not projected onto;
     within_caps checks them.
     """
     if m is None:
         m = np.hypot(z.real, z.imag)
     radius = np.empty_like(m)
-    radius[..., 0], radius[..., 1] = A2_RADIUS, _C1_RADIUS
-    m1 = np.minimum(m[..., 1], _C1_RADIUS)
-    radius[..., 2] = np.maximum(_c2_bound(m1), 0.0)
-    m2 = np.minimum(m[..., 2], radius[..., 2])
-    radius[..., 3] = np.maximum(_c3_bound(m1, m2), 0.0)
-    z *= np.divide(radius, m, out=np.ones_like(m), where=m > radius)
+    radius[0], radius[1] = A2_RADIUS, _C1_RADIUS
+    m1 = np.minimum(m[1], _C1_RADIUS)
+    radius[2] = np.maximum(_c2_bound(m1), 0.0)
+    m2 = np.minimum(m[2], radius[2])
+    radius[3] = np.maximum(_c3_bound(m1, m2), 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.divide(radius, m, out=radius)
+    z *= np.fmin(radius, 1.0, out=radius)
 
 
 def project_feasible(p: SchwarzParams) -> SchwarzParams:
@@ -339,8 +344,8 @@ def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
         return f"violates the region inequalities: {p}"
     if a2_mode == "zero" and point.a2 != 0:
         return f"needs a2 = 0 in zero mode, got a2 = {point.a2}"
-    z = _rows((point,)).view(complex)  # one row, through the search's arithmetic
-    if not within_caps(*coefficient_quintet(z[..., 0], z[..., 1], z[..., 2], z[..., 3]))[0]:
+    z = _rows((point,)).view(complex).T  # one point, entry-first as the search scores it
+    if not within_caps(*coefficient_quintet(*z))[0]:
         return "violates a class coefficient cap"
     return None
 

@@ -39,11 +39,15 @@ computed but never charged: a chain is charged for the moves it tries up to
 the taken one, and for no more than budget + 1 evaluations in all, so
 evaluations_used counts what the sequential loop evaluates.  A run takes
 about as many iterations as its longest chain has acceptances plus step
-halvings, plus those its start waited for a slot.  A move changes one entry
-of its chain's point, so an iteration takes the moduli of each live chain's
-four entries once and only the moved entry's per proposal, and pulls the
-proposals back with these shared moduli, which equal np.hypot of the
-proposals' entries bit for bit.
+halvings, plus those its start waited for a slot.  An iteration holds its
+proposals entry-first, the form class_u.pull_back and _values take: four
+contiguous planes z[0..3] (a2, c1, c2, c3) of shape (live chains, moves),
+with their moduli m in four more.  A move changes one entry of its chain's
+point, so each plane is filled by broadcasting its chains' entries and
+moduli, taken once per chain, and then each move changes only its own
+entry's column: +step or -step on its real or imaginary part, and that
+entry's new np.hypot.  The proposals are pulled back with these shared
+moduli, which equal np.hypot of the proposals' entries bit for bit.
 
 Determinism contract: restart k draws its start from its own stream of
 uniforms, SplitMix64 from a key hashed from (seed, k) (_restart_draw), which
@@ -58,6 +62,7 @@ counts, pool sizes and the jobs run together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -167,14 +172,14 @@ def _code_tables():
 _OFFSET, _CHARGE, _NEXT = _code_tables()
 
 
-def _values(x: np.ndarray, fn) -> np.ndarray:
-    """|fn| at each point (rows of 8 floats); -1.0, which is never accepted,
-    where the point breaks a class coefficient cap.
+def _values(z: np.ndarray, fn) -> np.ndarray:
+    """|fn| at each point, z entry-first as class_u.pull_back takes it (z[0..3]
+    are a2, c1, c2, c3 over any trailing shape; start rows pass
+    rows.view(complex).T); -1.0, which is never accepted, where the point
+    breaks a class coefficient cap.
     """
-    z = x.view(complex)
-    a2 = z[..., 0]
-    a3, a4, a5 = coefficient_quintet(a2, z[..., 1], z[..., 2], z[..., 3])
-    return np.where(within_caps(a3, a4, a5), np.abs(fn(a2, a3, a4, a5)), -1.0)
+    a3, a4, a5 = coefficient_quintet(*z)
+    return np.where(within_caps(a3, a4, a5), np.abs(fn(z[0], a3, a4, a5)), -1.0)
 
 
 def _pool(tasks):
@@ -192,11 +197,11 @@ def _pool(tasks):
     while True:
         while len(chains[0]) < _BLOCK and (item := next(feed, None)):
             task, first, rows = item  # starts are drawn a block at a time, in task order
-            (objective, budget, _), m = tasks[task], len(rows)
+            (objective, budget, _), n = tasks[task], len(rows)
             chains, fn = tuple(map(np.concatenate, zip(chains, (
-                np.full(m, task), np.arange(first, first + m), rows,
-                _values(rows, fns[task]), np.full(m, budget),
-                np.full(m, STEP_INIT), np.full(m, _MODES[objective.a2_mode][0]))))), None
+                np.full(n, task), np.arange(first, first + n), rows,
+                _values(rows.view(complex).T, fns[task]), np.full(n, budget),
+                np.full(n, STEP_INIT), np.full(n, _MODES[objective.a2_mode][0]))))), None
         done = (chains[5] < STEP_MIN) | (chains[4] < 1)  # a pending chain only if budget 0
         if done.any():  # finished chains leave; the next pending ones take their slots
             out = [v[done] for v in chains[:5]]
@@ -209,34 +214,38 @@ def _pool(tasks):
         if not len(chains[0]):
             return
         task, _, px, pf, left, step, code = (v[:_BLOCK] for v in chains)
-        if fn is None:  # the live set changed: its width, and each task's rows
+        if fn is None:  # the live set changed: its width, each task's rows, the proposal planes
             cuts = np.searchsorted(task, np.arange(len(tasks) + 1)).tolist()
             parts = [(j, slice(a, b)) for j, (a, b) in enumerate(zip(cuts, cuts[1:])) if a < b]
             width = max(_MODES[tasks[j][0].a2_mode][1] for j, _ in parts)
-            offset, lead = _OFFSET[:, 16 - width:], 8 - width // 2
-            cols = np.arange(width)
-            entry = lead // 2 + cols // 4  # entry[j]: the entry move j changes
+            offset, lead = _OFFSET[:, 16 - width:], 4 - width // 4
             fn = fns[parts[0][0]] if len(parts) == 1 else lambda *a: np.concatenate(
                 [fns[j](*(v[rows] for v in a)) for j, rows in parts])
-        # move j of the pool moves float lead + j // 2: in each chain's row of
-        # width * 8 floats, the entries 17i + lead by +step, 17i + lead + 8 by -step
-        cand = np.repeat(px, width, axis=0).reshape(-1, width, 8)
-        flat = cand.reshape(len(px), -1)
-        flat[:, lead::17] += step[:, None]
-        flat[:, lead + 8::17] -= step[:, None]
-        # a proposal shares its chain's moduli but for the one entry it moved
-        z = cand.view(complex)
-        m = np.repeat(np.hypot(px[:, ::2], px[:, 1::2]), width, axis=0).reshape(z.shape)
-        moved = z[:, cols, entry]
-        m[:, cols, entry] = np.hypot(moved.real, moved.imag)
+            # z[k, i, j]: entry k of chain i's proposal j, m[k, i, j] its modulus,
+            # reused until the live set changes.  Move j changes entry lead + j // 4
+            # alone, by +step and -step on its real part, then on its imaginary
+            # part: moved[e, i, c], an einsum diagonal (a writable view, as dm is
+            # of m), is z[lead + e, i, 4e + c], the entry column 4e + c moves
+            z, m = np.empty((4, len(px), width), complex), np.empty((4, len(px), width))
+            moved, dm = (np.einsum("eiec->eic", a.reshape(4, len(px), -1, 4)[lead:])
+                         for a in (z, m))
+            re, im = moved.real, moved.imag
+        # every proposal starts as its chain's point, with its chain's moduli
+        z[:] = px.view(complex).T[:, :, None]
+        m[:] = np.hypot(px[:, ::2], px[:, 1::2]).T[:, :, None]
+        re[..., 0] += step
+        re[..., 1] -= step
+        im[..., 2] += step
+        im[..., 3] -= step
+        np.hypot(re, im, out=dm)
         pull_back(z, m)
-        val = _values(cand, fn)
+        val = _values(z, fn)
         key = np.where(val > pf[:, None], offset[code], 16)
         t = key.min(axis=1)  # the offset of the first improving move, 16 if none
         t[t >= left] = 16  # past the budget: the chain spends the rest of it on its sweep
         took = np.flatnonzero(t < 16)
         move = key[took].argmin(axis=1)
-        px[took] = cand[took, move]
+        px.view(complex)[took] = z[:, took, move].T
         pf[took] = val[took, move]
         left -= np.minimum(_CHARGE[code, t], left)
         # a move grows the step by 1.5 up to STEP_INIT; a whole sweep without one halves it
@@ -244,14 +253,14 @@ def _pool(tasks):
         code[:] = _NEXT[code, t]
 
 
-def _catalog_entries(objective: Objective):
-    """(name, entry) of each catalog entry in the objective's region (by
-    region_violation): all of them when a2 is free, those with a2 = 0 in zero mode.
+@functools.cache
+def _catalog_entries(a2_mode: str) -> tuple:
+    """(name, entry) of each catalog entry in the a2 mode's region (by
+    region_violation): all of them when a2 is free, those with a2 = 0 in zero
+    mode.  The catalog is fixed, so each mode's selection is made once.
     """
-    for name in CATALOG_NAMES:
-        entry = catalog(name)
-        if region_violation(entry.param, objective.a2_mode) is None:
-            yield name, entry
+    entries = ((name, catalog(name)) for name in CATALOG_NAMES)
+    return tuple((name, e) for name, e in entries if region_violation(e.param, a2_mode) is None)
 
 
 #: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
@@ -323,7 +332,7 @@ def campaigns(jobs) -> list[SearchResult]:
         if (evals := config.restarts * (config.refine_budget + 1)) > EVAL_CAP:
             raise ValueError(f"restarts * (refine_budget + 1) = {evals} exceeds the "
                              f"evaluation cap {EVAL_CAP}")
-    witnesses = [_rows(e.param for _, e in _catalog_entries(o)) for o, _ in jobs]
+    witnesses = [_rows(e.param for _, e in _catalog_entries(o.a2_mode)) for o, _ in jobs]
     values = [np.empty(len(w) + c.restarts) for w, (_, c) in zip(witnesses, jobs)]
     best, totals = [(-math.inf, 0, None)] * len(jobs), [0] * len(jobs)  # value, -chain, point
     for j, chains, x, fx, used in _pool([(o, c.refine_budget, _starts(w, c, o.a2_mode))
@@ -385,7 +394,7 @@ def objective_reference(objective: Objective) -> tuple[str, str, float]:
 def catalog_witness(objective: Objective) -> tuple[str, float]:
     """Best catalog attainment over the entries campaigns start from."""
     best_name, best_val = "", -1.0
-    for name, entry in _catalog_entries(objective):
+    for name, entry in _catalog_entries(objective.a2_mode):
         val = abs(closed_form(entry.window, objective.det))
         if val > best_val:
             best_name, best_val = name, val

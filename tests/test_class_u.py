@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import coefflab.class_u as class_u
-from coefflab.series import TruncatedSeries
+from coefflab.series import TruncatedSeries, series_reciprocal
 from coefflab.class_u import (
     CATALOG_NAMES,
     CrossCheckFailed,
@@ -156,7 +156,7 @@ class TestProjection:
         # comes back bit for bit, infeasible tail or not
         z = np.array([[2.5j, 1.5, 0.5, 0.25], [0, 1.5, 0.5, 0.25], [0, 0.3, 0.2j, 0.05]])
         zero_a2 = z[1:, 0].tobytes()
-        pull_back(z)
+        pull_back(z.T)
         assert z[0].tolist() == [2j, 1, 0, 0]
         assert z[1:, 0].tobytes() == zero_a2
         assert z[1].tolist() == [0, 1, 0, 0]
@@ -176,7 +176,27 @@ EDGE_ROWS = [
     [2, 0.5, 0.375, 0.125],  # every entry on its bound
     [-2j, 1 / SQRT2, 0.25, -1.0 / (6.0 * SQRT2)],  # f4's tail, on its bounds
     [complex(SQRT2, SQRT2), complex(0.6, 0.8), 0, 0],  # on the circles by components
+    [0j, 1j, 0j, -0j],  # zero radii with zero entries: 0 / 0
+    [0j, 0.3, 0.2j, 5e-324],  # radius / modulus overflows
+    # one ulp outside the a2 and c1 circles, and the c2 and c3 bounds
+    [np.nextafter(2.0, 3.0), complex(0.0, np.nextafter(1.0, 2.0)), -0j, 0j],
+    [2j, 0.5j, np.nextafter(0.375, 1.0), np.nextafter(0.125, 1.0)],
 ]
+EDGE_ROWS_T = np.array(EDGE_ROWS, dtype=complex).T.copy()  # entry-first, one column a row
+
+
+def masked_factor(m):
+    """The radii for moduli m (entry-first) and the factor pull_back took
+    through 0.21.0, radius / modulus where the modulus exceeds the radius and
+    1 elsewhere by a masked divide: the reference its factor
+    min(radius / modulus, 1) is checked against bit for bit."""
+    radius = np.empty_like(m)
+    radius[0], radius[1] = class_u.A2_RADIUS, class_u._C1_RADIUS
+    m1 = np.minimum(m[1], class_u._C1_RADIUS)
+    radius[2] = np.maximum(_c2_bound(m1), 0.0)
+    m2 = np.minimum(m[2], radius[2])
+    radius[3] = np.maximum(_c3_bound(m1, m2), 0.0)
+    return radius, np.divide(radius, m, out=np.ones_like(m), where=m > radius)
 
 
 class TestPullBackOracle:
@@ -184,11 +204,16 @@ class TestPullBackOracle:
 
     @staticmethod
     def assert_same(rows):
+        # rows [a2, c1, c2, c3] go in entry-first: as a view of the rows, and
+        # as the contiguous planes the search builds
         rows = np.asarray(rows, dtype=complex)
         want = rows.copy()
         sequential_pull_back(want)
-        pull_back(rows)
+        planes = np.moveaxis(rows, -1, 0).copy()
+        pull_back(planes)
+        pull_back(np.moveaxis(rows, -1, 0))
         assert rows.tobytes() == want.tobytes()
+        assert planes.tobytes() == np.moveaxis(want, -1, 0).copy().tobytes()
 
     def test_random_rows_inside_and_outside(self):
         rng = np.random.default_rng(17)
@@ -201,7 +226,7 @@ class TestPullBackOracle:
         self.assert_same(rows)
         self.assert_same(pulled)
         self.assert_same(sampled)
-        self.assert_same(rows.reshape(500, 8, 4))  # the search's (chain, move, entry)
+        self.assert_same(rows.reshape(500, 8, 4))  # planes of the search's (entry, chain, move)
         for row in rows[:50]:
             self.assert_same(row)  # one row, as project_feasible passes it
 
@@ -209,6 +234,35 @@ class TestPullBackOracle:
         self.assert_same(EDGE_ROWS)
         for row in EDGE_ROWS:
             self.assert_same(row)
+
+
+class TestPullBackFactor:
+    """pull_back's factor min(radius / modulus, 1) against masked_factor,
+    compared as bytes, on a (4, k) batch and on (4,) points, with the moduli
+    passed in and without."""
+
+    def test_edge_rows_reach_every_case_of_the_factor(self):
+        m = np.hypot(EDGE_ROWS_T.real, EDGE_ROWS_T.imag)
+        radius, _ = masked_factor(m)
+        assert ((m == 0) & (radius == 0)).any()  # 0 / 0
+        assert ((m > 0) & (radius == 0)).any()  # a zero radius under a non-zero entry
+        assert ((m > 0) & (m == radius)).any()  # on the radius
+        assert (m == np.nextafter(radius, np.inf)).any()  # one ulp above it
+        with np.errstate(over="ignore"):
+            assert np.isinf(radius[m > 0] / m[m > 0]).any()  # a quotient that overflows
+
+    # the factor divides 0 by 0 and overflows on the edge rows; no warning may escape
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("moduli", [False, True], ids=["own-moduli", "given-moduli"])
+    def test_equals_the_masked_divide(self, moduli):
+        rng = np.random.default_rng(29)
+        far = 4.0 * (rng.normal(size=(4, 400)) + 1j * rng.normal(size=(4, 400)))
+        for batch in (EDGE_ROWS_T, far):
+            for z in (batch.copy(), *batch.T.copy()):
+                m = np.hypot(z.real, z.imag)
+                want = z * masked_factor(m)[1]
+                pull_back(z, m if moduli else None)
+                assert z.tobytes() == want.tobytes()
 
 
 _small = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -348,7 +402,7 @@ class TestReferenceArithmetic:
         for pt in self.points(20):
             p = pt.schwarz
             lead = TruncatedSeries((1.0, -pt.a2, -p.c1, -p.c2, -p.c3, 0.0, 0.0))
-            assert u_coefficients(pt, 7).a == class_u.series_reciprocal(lead).coeffs
+            assert u_coefficients(pt, 7).a == series_reciprocal(lead).coeffs
 
     @pytest.mark.parametrize("name", ["f1", "f4", "koebe", "z+2z3"])
     def test_membership_is_the_per_radius_loop(self, name):

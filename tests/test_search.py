@@ -97,7 +97,7 @@ def counted_climb(objective, start, budget):
     """
     fn = closed_form_function(objective.det)
     y = start.reshape(1, 8).copy()
-    fy = search._values(y, fn)[0]
+    fy = search._values(y.view(complex).T, fn)[0]
     evals, accepted, halved = 1, 0, 0
     step = search.STEP_INIT
     while step >= search.STEP_MIN and evals <= budget:
@@ -108,8 +108,8 @@ def counted_climb(objective, start, budget):
                     break
                 cand = y.copy()
                 cand[0, slot] += sign * step
-                pull_back(cand.view(complex))
-                fc = search._values(cand, fn)[0]
+                pull_back(cand.view(complex).T)
+                fc = search._values(cand.view(complex).T, fn)[0]
                 evals += 1
                 if fc > fy:
                     y, fy, improved = cand, fc, True
@@ -136,7 +136,7 @@ def campaign_starts(objective, config):
     """The starts of a campaign's chains, in restart-index order, as rows of
     8 floats; restart k's from the sequential sampler on its own stream, the
     scalar SplitMix64 oracle."""
-    starts = [entry.param for _, entry in search._catalog_entries(objective)]
+    starts = [entry.param for _, entry in search._catalog_entries(objective.a2_mode)]
     for k in range(config.restarts):
         starts.append(sequential_sample_point(SplitMix64(config.seed, k), objective.a2_mode))
     return _rows(starts)
@@ -250,7 +250,7 @@ class TestSampler:
         config = SearchConfig(seed=21, restarts=700)
         ks = np.arange(config.restarts)
         rows = _sample_rows(search._restart_draw(config.seed, ks), len(ks), mode)
-        skip = len(list(search._catalog_entries(objective)))
+        skip = len(search._catalog_entries(objective.a2_mode))
         assert rows.tobytes() == campaign_starts(objective, config)[skip:].tobytes()
         assert _sample_rows(search._restart_draw(config.seed, ks[:0]), 0, mode).shape == (0, 8)
 
@@ -299,32 +299,37 @@ class TestRefine:
 
 class TestWitnesses:
     def test_free_mode_uses_whole_catalog(self):
-        assert [n for n, _ in search._catalog_entries(T22)] == [
+        assert [n for n, _ in search._catalog_entries("free")] == [
             "identity", "f1", "f2", "f3", "f4", "koebe",
         ]
 
     def test_zero_mode_filters(self):
-        obj = Objective(DeterminantId.parse("T3,2"), "zero")
-        assert [n for n, _ in search._catalog_entries(obj)] == ["identity", "f2", "f3", "f4"]
+        assert [n for n, _ in search._catalog_entries("zero")] == ["identity", "f2", "f3", "f4"]
 
     @pytest.mark.parametrize("mode", A2_MODES)
     def test_entries_outside_the_region_are_not_selected(self, mode, monkeypatch):
         # an a2 = 0 entry with |c2| = 0.9 > (1 - |c1|^2)/2 starts no chain in
-        # either mode, though its a2 alone would pass zero mode's rule
-        objective = Objective(T22.det, mode)
-        before = list(search._catalog_entries(objective))
+        # either mode, though its a2 alone would pass zero mode's rule; the
+        # selection is cached, so the patched catalog goes through the
+        # uncached selector, which must see it: a copy of identity renamed
+        # "inside" is selected
+        select = search._catalog_entries.__wrapped__
+        before = select(mode)
+        assert search._catalog_entries(mode) == before
         outside = replace(search.catalog("identity"), name="outside",
                           param=UParamPoint(0, SchwarzParams(0, 0.9, 0)))
+        inside = replace(search.catalog("identity"), name="inside")
+        patched = {"outside": outside, "inside": inside}
         real = search.catalog
-        monkeypatch.setattr(search, "CATALOG_NAMES", (*search.CATALOG_NAMES, "outside"))
-        monkeypatch.setattr(search, "catalog", lambda n: outside if n == "outside" else real(n))
-        assert list(search._catalog_entries(objective)) == before
+        monkeypatch.setattr(search, "CATALOG_NAMES", (*search.CATALOG_NAMES, *patched))
+        monkeypatch.setattr(search, "catalog", lambda n: patched.get(n) or real(n))
+        assert select(mode) == (*before, ("inside", inside))
 
     @pytest.mark.parametrize("objective", ALL_OBJECTIVES, ids=lambda o: o.label)
     def test_every_witness_passes_the_entry_check(self, objective):
         # campaigns run their witness chains unchecked, so each must lie in
         # the region of the objective's a2 mode; at budget 0 a chain is its start
-        points = [entry.param for _, entry in search._catalog_entries(objective)]
+        points = [entry.param for _, entry in search._catalog_entries(objective.a2_mode)]
         for pt in points:
             assert region_violation(pt, objective.a2_mode) is None, pt
         starts = _rows(points)
@@ -453,7 +458,8 @@ class TestCampaign:
                 if abs(a3) > 2.9 or abs(a4) > 3.9:
                     break  # another cap would decide
                 points.append(UParamPoint(a2, SchwarzParams(c1, c2, c3)))
-        engine = search._values(_rows(points), lambda a2, a3, a4, a5: a5) >= 0.0
+        planes = np.ascontiguousarray(_rows(points).view(complex).T)  # as the engine builds them
+        engine = search._values(planes, lambda a2, a3, a4, a5: a5) >= 0.0
         assert 0 < engine.sum() < len(points)
         assert [region_violation(p, "free") is None for p in points] == engine.tolist()
 
@@ -569,8 +575,9 @@ class TestLockstepEngine:
                                               (("free", "zero"), 16)])
     def test_shared_moduli_equal_the_full_projection(self, modes, width, monkeypatch):
         # the engine takes each chain's moduli once and only the moved
-        # entry's per proposal; they must be np.hypot of the proposals, and
-        # the pull-back with them that of the full proposals, bit for bit
+        # entry's per proposal, on four contiguous entry planes; they must be
+        # np.hypot of the proposals, and the pull-back with them that of the
+        # full proposals, bit for bit
         rng = np.random.default_rng(23)
         edge = np.array(EDGE_ROWS, dtype=complex)
         far = 5.0 * (rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4)))
@@ -589,13 +596,26 @@ class TestLockstepEngine:
             real(full)
             same_moduli = m.tobytes() == np.hypot(z.real, z.imag).tobytes()
             real(z, m)
-            seen.append((z.shape[1], same_moduli, z.tobytes() == full.tobytes()))
+            planes = z.flags.c_contiguous and m.flags.c_contiguous and len(z) == 4
+            seen.append((z.shape[-1], planes, same_moduli, z.tobytes() == full.tobytes()))
 
         monkeypatch.setattr(search, "pull_back", checking)
         for _ in search._pool(tasks):
             pass
         assert len(seen) > 1
-        assert seen == [(width, True, True)] * len(seen)
+        assert seen == [(width, True, True, True)] * len(seen)
+
+    @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
+    def test_values_on_contiguous_planes_equal_the_row_layout(self, det):
+        # the engine scores contiguous entry planes, where numpy may run other
+        # loops (SIMD or not) than on the strided entries of rows; the layout
+        # must not move a bit of any value on the CPUs and numpy versions CI runs
+        rng = np.random.default_rng(31)
+        rows = np.concatenate([_sample_rows(_generator_draw(rng), 1000, mode) for mode in A2_MODES])
+        strided = rows.view(complex).T
+        planes = np.ascontiguousarray(strided)
+        fn = closed_form_function(det)
+        assert search._values(planes, fn).tobytes() == search._values(strided, fn).tobytes()
 
     def test_blocking_does_not_change_results(self, monkeypatch):
         config = SearchConfig(seed=3, restarts=9, refine_budget=300)
@@ -642,7 +662,8 @@ class TestCampaigns:
         live = []  # the live chains of each iteration, one pull_back call each
         finished = []  # the iterations run before each batch of finished chains
         real_pull_back, real_pool = search.pull_back, search._pool
-        monkeypatch.setattr(search, "pull_back", lambda z, m: (live.append(len(z)), real_pull_back(z, m)))
+        monkeypatch.setattr(search, "pull_back",
+                            lambda z, m: (live.append(z.shape[1]), real_pull_back(z, m)))
 
         def pool(tasks):
             for batch in real_pool(tasks):
