@@ -34,7 +34,8 @@ class SplitMix64:
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1]
 
-#: Restart indices 0..699: three blocks of the campaign engine's 256 chains.
+#: Restart indices 0..699: nearly one block of the campaign engine's 768
+#: chains, whose streams it computes together.
 KS = np.arange(700)
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -630,8 +631,8 @@ def by_field(result):
 
 
 def mixed_jobs(budgets):
-    """Jobs over four determinants in both a2 modes, 333 chains in all, so the
-    pool of 256 is refilled mid-run."""
+    """Jobs over four determinants in both a2 modes, 333 chains in all: more
+    than a pool of 256 holds, so one of that size is refilled mid-run."""
     specs = [("T2,2", "free", 11, 90), ("T3,2", "zero", 12, 40), ("H2,3", "free", 13, 150),
              ("T3,3", "zero", 14, 20), ("T3,1", "free", 15, 7)]
     return [(Objective(DeterminantId.parse(det), mode),
@@ -639,16 +640,27 @@ def mixed_jobs(budgets):
             for (det, mode, seed, restarts), budget in zip(specs, budgets)]
 
 
+def documented_jobs(shift):
+    """report's six campaigns, each documented seed shifted by shift."""
+    jobs = []
+    for label, seed in DOCUMENTED_SEEDS.items():
+        det, mode = label.split("|")
+        jobs.append((Objective(DeterminantId.parse(det), mode), SearchConfig(seed=seed + shift)))
+    return jobs
+
+
 class TestCampaigns:
     """campaigns runs the chains of all its jobs in one pool; every result is
     the one campaign returns for that job alone."""
 
     @pytest.mark.parametrize("budget", [0, 1, 17, 500])
-    def test_equals_standalone_campaigns(self, budget):
+    def test_equals_standalone_campaigns(self, budget, monkeypatch):
+        monkeypatch.setattr(search, "_BLOCK", 256)  # the pool is refilled mid-run
         jobs = mixed_jobs([budget] * 5)
         assert [by_field(r) for r in campaigns(jobs)] == [by_field(campaign(*job)) for job in jobs]
 
-    def test_jobs_with_different_budgets(self):
+    def test_jobs_with_different_budgets(self, monkeypatch):
+        monkeypatch.setattr(search, "_BLOCK", 256)  # the pool is refilled mid-run
         jobs = mixed_jobs([500, 0, 17, 1, 200])
         assert [by_field(r) for r in campaigns(jobs)] == [by_field(campaign(*job)) for job in jobs]
 
@@ -693,20 +705,38 @@ class TestCampaigns:
     @pytest.mark.parametrize("shift", [0, 1000, 3000])
     def test_documented_campaigns_take_few_iterations(self, shift, monkeypatch):
         # one pull_back per lockstep iteration.  A run takes as many
-        # iterations as its longest chain has acceptances plus halvings; a
-        # step that only shrank let one chain crawl along a ridge for
-        # thousands of them (2564 and 2483 at the shifts +1000 and +3000),
-        # so report's time hung on seed luck.  Growing the step after each
-        # accepted move bounds that at the documented seeds and shifted ones.
+        # iterations as its longest chain has acceptances plus halvings, plus
+        # those its start waited for a slot.  A step that only shrank let one
+        # chain crawl along a ridge for thousands of them (2564 and 2483 at
+        # the shifts +1000 and +3000), so report's time hung on seed luck;
+        # growing the step after each accepted move bounds that.  A pool of
+        # 256 kept T3,3's chains, the last in job order, waiting for slots
+        # (502, 420 and 501 iterations); one of 768 runs the six nearly side
+        # by side (372, 323 and 423).
         calls = []
         real = search.pull_back
         monkeypatch.setattr(search, "pull_back", lambda z, m: (calls.append(1), real(z, m)))
-        jobs = []
-        for label, seed in DOCUMENTED_SEEDS.items():
-            det, mode = label.split("|")
-            jobs.append((Objective(DeterminantId.parse(det), mode), SearchConfig(seed=seed + shift)))
-        campaigns(jobs)
-        assert len(calls) < 700
+        campaigns(documented_jobs(shift))
+        assert len(calls) < 450
+
+    def test_documented_campaigns_memory_stays_small(self):
+        # the pool's arrays grow with its size: the six documented campaigns
+        # peak at about 1.0 MB traced with a pool of 256 and 2.7 MB with 768
+        tracemalloc.start()
+        try:
+            campaigns(documented_jobs(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_documented_campaigns_do_not_depend_on_the_pool_size(self, monkeypatch):
+        # every engine operation is elementwise, so the pool's size changes
+        # only which chains share an iteration, never a chain's result
+        jobs = documented_jobs(0)
+        default = [by_field(r) for r in campaigns(jobs)]
+        monkeypatch.setattr(search, "_BLOCK", 256)
+        assert [by_field(r) for r in campaigns(jobs)] == default
 
     def test_report_rows_equal_standalone_campaigns(self, capsys):
         from coefflab.cli import _campaign_row, main

@@ -104,22 +104,27 @@ def _imported_names(tree: ast.AST) -> dict[str, str]:
 
 
 #: Names a module imports only to re-export them, as its docstring says:
-#: search re-exports class_u's sampler and a2 modes, class_u the public
-#: series route its coefficient map is compared with.
-_RE_EXPORTS = {"search.py": {"sample_point", "A2_MODES"}, "class_u.py": {"series_reciprocal"}}
+#: search re-exports class_u's sampler and a2 modes.
+_RE_EXPORTS = {"search.py": {"sample_point", "A2_MODES"}}
 
 
 def test_every_imported_name_is_used():
-    # a simplification that deletes the last use of an import leaves it stranded
-    stranded = []
+    # a simplification that deletes the last use of an import leaves it
+    # stranded; and a re-export its module no longer imports is a stale
+    # exemption, which would let a later unused import of that name pass
+    stranded, stale = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":  # the package's public surface
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        imported = set(_imported_names(tree))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused = set(_imported_names(tree)) - used - _RE_EXPORTS.get(path.name, set())
-        stranded += [f"{path.name}: {name}" for name in sorted(unused)]
+        re_exports = _RE_EXPORTS.get(path.name, set())
+        stranded += [f"{path.name}: {name}" for name in sorted(imported - used - re_exports)]
+        stale += [f"{path.name}: {name}" for name in sorted(re_exports - imported)]
     assert stranded == []
+    assert stale == []
+    assert _RE_EXPORTS.keys() <= {path.name for path in PACKAGE.glob("*.py")}
 
 
 def test_cli_compares_no_coefficient_routes_itself():
