@@ -39,11 +39,10 @@ One rejection loop feeds it, _sample_rows, from a uniform source
 draw(todo, width): either one Generator for every row (_generator_draw, one
 rng.random call per round), as sample_point and the report's map oracle draw,
 or one stream per row, as a campaign draws its restarts from
-search._restart_draw.  _point and _rows convert
-between a point and its row of 8 floats [re a2, im a2, re c1, ..., im c3], the
-form the sampler and search use.  These conditions are necessary, not
-sufficient, so the region is a relaxation of the true class: suprema computed
-over it are upper evidence, never membership proofs.
+search._restart_draw.  _point and _rows convert between a point and its
+complex row [a2, c1, c2, c3], the form the sampler and search use.  These
+conditions are necessary, not sufficient, so the region relaxes the true
+class: suprema over it are upper evidence, never membership proofs.
 """
 
 from __future__ import annotations
@@ -247,15 +246,15 @@ def coefficient_quintet(
 
 def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampler attempts from uniforms of shape (..., 8), or (..., 6) with
-    a2 = 0: region points as rows of 8 floats, and whether each respects the
-    class coefficient caps.
+    a2 = 0: region points as complex rows [a2, c1, c2, c3], and whether each
+    respects the class coefficient caps.
 
     The discs are drawn in order, a2, c1, c2, c3, each area-uniform from two
     uniforms in turn, radius sqrt(u) then angle 2 pi u, on the radius the
     earlier entries leave open (the c2 and c3 bounds clamped at 0).
     """
-    x = np.zeros(u.shape[:-1] + (8,))
-    first = 4 - u.shape[-1] // 2  # 1 when a2 = 0, whose two floats stay +0.0
+    x = np.zeros(u.shape[:-1] + (4,), complex)
+    first = 4 - u.shape[-1] // 2  # 1 when a2 = 0, whose parts stay +0.0
     scale = np.sqrt(u[..., 0::2])
     theta = 2.0 * math.pi * u[..., 1::2]
     cos, sin = np.cos(theta), np.sin(theta)
@@ -263,16 +262,15 @@ def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     def disc(k: int, radius) -> np.ndarray:
         # entry k on its disc; returns the entry's modulus
         r = radius * scale[..., k - first]
-        x[..., 2 * k], x[..., 2 * k + 1] = r * cos[..., k - first], r * sin[..., k - first]
-        return np.hypot(x[..., 2 * k], x[..., 2 * k + 1])
+        x.real[..., k], x.imag[..., k] = r * cos[..., k - first], r * sin[..., k - first]
+        return np.hypot(x.real[..., k], x.imag[..., k])
 
     if first == 0:
         disc(0, A2_RADIUS)
     m1 = disc(1, _C1_RADIUS)
     m2 = disc(2, np.maximum(_c2_bound(m1), 0.0))
     disc(3, np.maximum(_c3_bound(m1, m2), 0.0))
-    z = x.view(complex)
-    return x, within_caps(*coefficient_quintet(z[..., 0], z[..., 1], z[..., 2], z[..., 3]))
+    return x, within_caps(*coefficient_quintet(x[..., 0], x[..., 1], x[..., 2], x[..., 3]))
 
 
 def _check_a2_mode(a2_mode: str) -> None:
@@ -282,7 +280,7 @@ def _check_a2_mode(a2_mode: str) -> None:
 
 
 def _sample_rows(draw, n: int, a2_mode: str = "free") -> np.ndarray:
-    """n region points as rows of 8 floats [re a2, im a2, re c1, ..., im c3],
+    """n region points as complex rows [a2, c1, c2, c3], of shape (n, 4),
     from the uniform source draw.  Each round takes one attempt for every row
     still missing its point, through one _region_rows call: draw(todo, width)
     returns a (len(todo), width) array of uniforms for the rows todo, two per
@@ -291,7 +289,7 @@ def _sample_rows(draw, n: int, a2_mode: str = "free") -> np.ndarray:
     """
     _check_a2_mode(a2_mode)
     width = 8 if a2_mode == "free" else 6
-    x = np.empty((n, 8))
+    x = np.empty((n, 4), complex)
     todo = np.arange(n)
     while len(todo):
         got, ok = _region_rows(draw(todo, width))
@@ -311,15 +309,13 @@ def _generator_draw(rng: np.random.Generator):
 
 
 def _point(row: np.ndarray) -> UParamPoint:
-    """A row of 8 floats as a region point."""
-    a2, c1, c2, c3 = (complex(v) for v in row.view(complex))
-    return UParamPoint(a2, SchwarzParams(c1, c2, c3))
+    """A complex row [a2, c1, c2, c3] as a region point."""
+    return UParamPoint(row[0], SchwarzParams(*row[1:]))
 
 
 def _rows(points) -> np.ndarray:
-    """Points as rows of 8 floats, the inverse of _point."""
-    return np.array([(p.a2, p.schwarz.c1, p.schwarz.c2, p.schwarz.c3) for p in points],
-                    dtype=complex).view(float)
+    """Points as complex rows, the inverse of _point."""
+    return np.array([(p.a2, p.schwarz.c1, p.schwarz.c2, p.schwarz.c3) for p in points], complex)
 
 
 def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint:
@@ -344,7 +340,7 @@ def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
         return f"violates the region inequalities: {p}"
     if a2_mode == "zero" and point.a2 != 0:
         return f"needs a2 = 0 in zero mode, got a2 = {point.a2}"
-    z = _rows((point,)).view(complex).T  # one point, entry-first as the search scores it
+    z = _rows((point,)).T  # one point, entry-first as the search scores it
     if not within_caps(*coefficient_quintet(*z))[0]:
         return "violates a class coefficient cap"
     return None

@@ -116,16 +116,6 @@ def parse_complex(text: str) -> complex:
     return z
 
 
-def fmt_complex(z: complex) -> str:
-    re, im = z.real, z.imag
-    if im == 0.0:
-        return _fmt(re)
-    if re == 0.0:
-        return _fmt(im) + "i"
-    sign = "+" if im >= 0 else "-"
-    return f"{_fmt(re)}{sign}{_fmt(abs(im))}i"
-
-
 def jsonable(x):
     """Lower a payload to plain JSON types; complex becomes [re, im]; any
     other type raises TypeError rather than reach the document as its str."""
@@ -158,7 +148,11 @@ def render_json(doc: dict) -> str:
 
 def _fmt(x) -> str:
     if isinstance(x, complex):
-        return fmt_complex(x)
+        if x.imag == 0.0:
+            return _fmt(x.real)
+        if x.real == 0.0:
+            return _fmt(x.imag) + "i"
+        return f"{_fmt(x.real)}{'+' if x.imag >= 0 else '-'}{_fmt(abs(x.imag))}i"
     if isinstance(x, float):
         return format(x, ".12g")
     if isinstance(x, bool):
@@ -405,7 +399,8 @@ def _report_closed_form_oracle() -> dict:
     # a2..a5 of each window on the disc of radius 5, each drawn as radius then angle
     u = np.random.default_rng(ORACLE_WINDOW_SEED).random((ORACLE_COUNT, 4, 2))
     r, th = 5.0 * np.sqrt(u[..., 0]), 2.0 * np.pi * u[..., 1]
-    tails = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1).view(complex)[..., 0]
+    tails = np.empty(r.shape, complex)
+    tails.real, tails.imag = r * np.cos(th), r * np.sin(th)
     worst = 0.0
     for tail in tails.tolist():
         w = CoefficientWindow((1.0, *tail))
@@ -417,7 +412,7 @@ def _report_closed_form_oracle() -> dict:
 def _report_map_oracle() -> dict:
     rows = _sample_rows(_generator_draw(np.random.default_rng(ORACLE_MAP_SEED)), ORACLE_COUNT)
     worst = 0.0
-    for a2, c1, c2, c3 in rows.view(complex).tolist():
+    for a2, c1, c2, c3 in rows.tolist():
         worst = max(worst, *_coefficient_routes(a2, c1, c2, c3, 5)[2])
     return {"points": ORACLE_COUNT, "seed": ORACLE_MAP_SEED, "max_delta": worst}
 

@@ -5,13 +5,13 @@ membership proof.  The region, its sampler (sample_point, re-exported here
 with A2_MODES, and the rejection loop _sample_rows, which draws a campaign's
 starts) and its predicate (region_violation) live in class_u.
 
-A search point [a2, c1, c2, c3] is held as its eight floats [re a2, im a2,
-re c1, ..., im c3]; class_u's _point and _rows convert between the two
-forms.  Each restart is one chain of coordinate pattern search with
-first-improvement acceptance.  A sweep tries +step and then -step on each
-float in turn (zero mode skips a2's two floats); the first move that
-strictly raises the value is taken, and the sweep goes on with the next
-float from the new point.  The step starts at STEP_INIT, grows by 1.5 after
+A search point is held as its complex row [a2, c1, c2, c3]; class_u's
+_point and _rows convert between a row and a UParamPoint.  Each restart is
+one chain of coordinate pattern search with first-improvement acceptance.
+A sweep tries +step, then -step, on the real and then the imaginary part of
+each entry in turn (zero mode skips a2); the first move that strictly
+raises the value is taken, and the sweep goes on with the next part from
+the new point.  The step starts at STEP_INIT, grows by 1.5 after
 every accepted move, up to STEP_INIT, and halves after every sweep without
 one (the expansion and contraction of generating set search), until it
 drops below STEP_MIN or the chain's proposal budget is spent.  Each
@@ -125,6 +125,10 @@ class Objective:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One campaign's settings, printed by search and report through vars().
+    seed: keys every sampled restart's stream of uniforms; an int, 0 <= seed < 2**64.
+    restarts: chains started from sampler draws, after the catalog witnesses; an int >= 1.
+    refine_budget: proposals each chain may score after its start; an int >= 0."""
     seed: int
     restarts: int = 200
     refine_budget: int = 20_000
@@ -137,6 +141,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """One campaign's outcome, printed by search through vars().
+    best_value: the largest |det| at any chain's final point.
+    best_point: the final point that reaches it, the lowest k's on a tie; in the region.
+    best_window: the window a1..a5 of best_point, by u_coefficients.
+    per_restart: (k, final value) of every chain in k order, k < 0 for catalog witnesses.
+    evaluations_used: |det| evaluations of all chains, each chain's start included."""
     best_value: float
     best_point: UParamPoint
     best_window: tuple[complex, ...]
@@ -144,8 +154,8 @@ class SearchResult:
     evaluations_used: int
 
 
-#: Each a2 mode's first code and moves per sweep (zero mode leaves out a2's two
-#: floats); a chain's code is its mode's first code plus its place in its sweep.
+#: Each a2 mode's first code and moves per sweep (zero mode leaves out a2's four
+#: moves); a chain's code is its mode's first code plus its place in its sweep.
 _MODES = {"free": (0, 16), "zero": (16, 12)}
 
 #: Most chains live in the lockstep pool at once, however many restarts a run
@@ -176,9 +186,8 @@ _OFFSET, _CHARGE, _NEXT = _code_tables()
 
 def _values(z: np.ndarray, fn) -> np.ndarray:
     """|fn| at each point, z entry-first as class_u.pull_back takes it (z[0..3]
-    are a2, c1, c2, c3 over any trailing shape; start rows pass
-    rows.view(complex).T); -1.0, which is never accepted, where the point
-    breaks a class coefficient cap.
+    are a2, c1, c2, c3 over any trailing shape; start rows pass rows.T);
+    -1.0, which is never accepted, where the point breaks a class coefficient cap.
     """
     a3, a4, a5 = coefficient_quintet(*z)
     return np.where(within_caps(a3, a4, a5), np.abs(fn(z[0], a3, a4, a5)), -1.0)
@@ -194,15 +203,15 @@ def _pool(tasks):
     feed = ((j, first, rows) for j, (_, _, blocks) in enumerate(tasks) for first, rows in blocks)
     # each chain's task, index, point, value, evaluations it may still make,
     # step and code; the first _BLOCK chains are live, the rest pending
-    chains, fn = (np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, 8)), np.empty(0),
-                  np.empty(0, np.int64), np.empty(0), np.empty(0, np.intp)), None
+    chains, fn = (np.empty(0, np.intp), np.empty(0, np.int64), np.empty((0, 4), complex),
+                  np.empty(0), np.empty(0, np.int64), np.empty(0), np.empty(0, np.intp)), None
     while True:
         while len(chains[0]) < _BLOCK and (item := next(feed, None)):
             task, first, rows = item  # starts are drawn a block at a time, in task order
             (objective, budget, _), n = tasks[task], len(rows)
             chains, fn = tuple(map(np.concatenate, zip(chains, (
                 np.full(n, task), np.arange(first, first + n), rows,
-                _values(rows.view(complex).T, fns[task]), np.full(n, budget),
+                _values(rows.T, fns[task]), np.full(n, budget),
                 np.full(n, STEP_INIT), np.full(n, _MODES[objective.a2_mode][0]))))), None
         done = (chains[5] < STEP_MIN) | (chains[4] < 1)  # a pending chain only if budget 0
         if done.any():  # finished chains leave; the next pending ones take their slots
@@ -233,8 +242,8 @@ def _pool(tasks):
                          for a in (z, m))
             re, im = moved.real, moved.imag
         # every proposal starts as its chain's point, with its chain's moduli
-        z[:] = px.view(complex).T[:, :, None]
-        m[:] = np.hypot(px[:, ::2], px[:, 1::2]).T[:, :, None]
+        z[:] = px.T[:, :, None]
+        m[:] = np.hypot(px.real, px.imag).T[:, :, None]
         re[..., 0] += step
         re[..., 1] -= step
         im[..., 2] += step
@@ -247,7 +256,7 @@ def _pool(tasks):
         t[t >= left] = 16  # past the budget: the chain spends the rest of it on its sweep
         took = np.flatnonzero(t < 16)
         move = key[took].argmin(axis=1)
-        px.view(complex)[took] = z[:, took, move].T
+        px[took] = z[:, took, move].T
         pf[took] = val[took, move]
         left -= np.minimum(_CHARGE[code, t], left)
         # a move grows the step by 1.5 up to STEP_INIT; a whole sweep without one halves it

@@ -82,23 +82,25 @@ def sequential_sample_point(rng, a2_mode):
 
 def sequential_climb(objective, start, budget):
     """One restart as a plain first-improvement loop: the oracle the lockstep
-    engine is checked against; (point as 8 floats, value, evaluations with
-    the start), see counted_climb."""
+    engine is checked against; (point as a complex row, value, evaluations
+    with the start), see counted_climb."""
     return counted_climb(objective, start, budget)[:3]
 
 
 def counted_climb(objective, start, budget):
     """sequential_climb, also counting the moves it accepts and its step halvings.
 
-    It starts from a row of 8 floats and scores one proposal at a time, on
-    length-1 arrays, through the package's projection (class_u.pull_back)
-    and value kernel; each accepted move grows the step by 1.5, up to
-    STEP_INIT, and each sweep without one halves it.  Returns (point as 8
-    floats, value, evaluations with the start, acceptances, halvings).
+    It starts from a complex row [a2, c1, c2, c3] and scores one proposal at
+    a time, on length-1 arrays, through the package's projection
+    (class_u.pull_back) and value kernel.  It moves the row's own float slots
+    [re a2, im a2, re c1, ..., im c3], through a float view, one at a time,
+    +step then -step; each accepted move grows the step by 1.5, up to
+    STEP_INIT, and each sweep without one halves it.  Returns (point as a
+    complex row, value, evaluations with the start, acceptances, halvings).
     """
     fn = closed_form_function(objective.det)
-    y = start.reshape(1, 8).copy()
-    fy = search._values(y.view(complex).T, fn)[0]
+    y = start.reshape(1, 4).copy()
+    fy = search._values(y.T, fn)[0]
     evals, accepted, halved = 1, 0, 0
     step = search.STEP_INIT
     while step >= search.STEP_MIN and evals <= budget:
@@ -108,9 +110,9 @@ def counted_climb(objective, start, budget):
                 if evals > budget:
                     break
                 cand = y.copy()
-                cand[0, slot] += sign * step
-                pull_back(cand.view(complex).T)
-                fc = search._values(cand.view(complex).T, fn)[0]
+                cand.view(float)[0, slot] += sign * step
+                pull_back(cand.T)
+                fc = search._values(cand.T, fn)[0]
                 evals += 1
                 if fc > fy:
                     y, fy, improved = cand, fc, True
@@ -124,8 +126,8 @@ def counted_climb(objective, start, budget):
 
 
 def pooled(objective, starts, budget):
-    """Every chain of one pool run of the engine from starts (rows of 8
-    floats), in start order: (final points, values, evaluations)."""
+    """Every chain of one pool run of the engine from starts (complex rows),
+    in start order: (final points, values, evaluations)."""
     x, fx = np.empty_like(starts), np.empty(len(starts))
     evals = np.zeros(len(starts), dtype=np.int64)
     for _, chains, xs, fs, es in search._pool([(objective, budget, [(0, starts)])]):
@@ -134,8 +136,8 @@ def pooled(objective, starts, budget):
 
 
 def campaign_starts(objective, config):
-    """The starts of a campaign's chains, in restart-index order, as rows of
-    8 floats; restart k's from the sequential sampler on its own stream, the
+    """The starts of a campaign's chains, in restart-index order, as complex
+    rows; restart k's from the sequential sampler on its own stream, the
     scalar SplitMix64 oracle."""
     starts = [entry.param for _, entry in search._catalog_entries(objective.a2_mode)]
     for k in range(config.restarts):
@@ -216,8 +218,8 @@ class TestSampler:
         for n in (0, 1, 2, 1500):
             rng, ref = np.random.default_rng([13, n]), np.random.default_rng([13, n])
             rows = _sample_rows(_generator_draw(rng), n, mode)
-            want = _rows([sequential_sample_point(ref, mode) for _ in range(n)]).reshape(n, 8)
-            assert rows.shape == (n, 8)
+            want = _rows([sequential_sample_point(ref, mode) for _ in range(n)]).reshape(n, 4)
+            assert rows.shape == (n, 4)
             assert sorted(r.tobytes() for r in rows) == sorted(r.tobytes() for r in want)
             assert rng.random() == ref.random()
         rng, ref = np.random.default_rng(14), np.random.default_rng(14)
@@ -234,7 +236,7 @@ class TestSampler:
         width = 8 if mode == "free" else 6
         for seed in range(5):
             rng, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
-            want = np.empty((n, 8))
+            want = np.empty((n, 4), complex)
             todo = np.arange(n)
             while len(todo):
                 got, ok = _region_rows(np.array([ref.random(width) for _ in todo]))
@@ -253,7 +255,7 @@ class TestSampler:
         rows = _sample_rows(search._restart_draw(config.seed, ks), len(ks), mode)
         skip = len(search._catalog_entries(objective.a2_mode))
         assert rows.tobytes() == campaign_starts(objective, config)[skip:].tobytes()
-        assert _sample_rows(search._restart_draw(config.seed, ks[:0]), 0, mode).shape == (0, 8)
+        assert _sample_rows(search._restart_draw(config.seed, ks[:0]), 0, mode).shape == (0, 4)
 
     def test_draws_feasible_and_capped(self):
         # 10^4 draws per a2 mode through the array sampler campaigns run: all
@@ -266,7 +268,7 @@ class TestSampler:
         for mode in A2_MODES:
             rows = _sample_rows(_generator_draw(np.random.default_rng(11)), 10_000, mode)
             top = np.zeros(3)
-            for a2, c1, c2, c3 in rows.view(complex).tolist():
+            for a2, c1, c2, c3 in rows.tolist():
                 pt = UParamPoint(a2, SchwarzParams(c1, c2, c3))
                 assert schwarz_feasible(pt.schwarz).feasible
                 assert abs(pt.a2) <= 2.0 + 1e-12 and (mode == "free" or pt.a2 == 0)
@@ -459,7 +461,7 @@ class TestCampaign:
                 if abs(a3) > 2.9 or abs(a4) > 3.9:
                     break  # another cap would decide
                 points.append(UParamPoint(a2, SchwarzParams(c1, c2, c3)))
-        planes = np.ascontiguousarray(_rows(points).view(complex).T)  # as the engine builds them
+        planes = np.ascontiguousarray(_rows(points).T)  # as the engine builds them
         engine = search._values(planes, lambda a2, a3, a4, a5: a5) >= 0.0
         assert 0 < engine.sum() < len(points)
         assert [region_violation(p, "free") is None for p in points] == engine.tolist()
@@ -587,7 +589,7 @@ class TestLockstepEngine:
             pts = np.concatenate([edge, far])
             if mode == "zero":
                 pts[pts[:, 0] != 0, 0] = 0
-            rows = np.concatenate([pts.view(float), _sample_rows(_generator_draw(rng), 20, mode)])
+            rows = np.concatenate([pts, _sample_rows(_generator_draw(rng), 20, mode)])
             tasks.append((Objective(DeterminantId.parse("T3,2"), mode), 30, [(0, rows)]))
         seen = []
         real = search.pull_back
@@ -613,7 +615,7 @@ class TestLockstepEngine:
         # must not move a bit of any value on the CPUs and numpy versions CI runs
         rng = np.random.default_rng(31)
         rows = np.concatenate([_sample_rows(_generator_draw(rng), 1000, mode) for mode in A2_MODES])
-        strided = rows.view(complex).T
+        strided = rows.T
         planes = np.ascontiguousarray(strided)
         fn = closed_form_function(det)
         assert search._values(planes, fn).tobytes() == search._values(strided, fn).tobytes()

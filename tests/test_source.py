@@ -82,6 +82,18 @@ def test_campaigns_is_the_one_way_into_the_pool():
     assert found == {"search.py": {"campaigns"}}
 
 
+def test_no_array_is_reinterpreted_with_view():
+    # a region point has one stored form, the complex row [a2, c1, c2, c3]:
+    # no module reads an array's bytes as another dtype through .view(
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "view"
+    ]
+    assert found == []
+
+
 def test_search_builds_no_generator():
     # campaign draws its starts from its own SplitMix64 streams
     # (search._restart_draw): no Generator, SeedSequence or bit generator
