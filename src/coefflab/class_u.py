@@ -35,14 +35,14 @@ The region lives here alone, each bound written once: pull_back is its one
 projection, within_caps its one cap check, region_violation its one predicate
 in either a2 mode (_check_a2_mode refuses any other mode for every caller),
 and _region_rows its one sampler, an array transform of uniforms into points.
-One rejection loop feeds it, _sample_rows, from a uniform source
-draw(todo, width): either one Generator for every row (_generator_draw, one
-rng.random call per round), as sample_point and the report's map oracle draw,
-or one stream per row, as a campaign draws its restarts from
-search._restart_draw.  _point and _rows convert between a point and its
-complex row [a2, c1, c2, c3], the form the sampler and search use.  These
-conditions are necessary, not sufficient, so the region relaxes the true
-class: suprema over it are upper evidence, never membership proofs.
+One rejection loop feeds it, _sample_rows, and the package has one source of
+uniforms, _uniforms of the streams (seed, k): SplitMix64 from a key hashed
+from (seed, k) (_keys).  A campaign's restart k draws from stream (seed, k),
+sample_point from stream (0, k) for a k its Generator draws, and the report's
+oracles from streams of their own seeds.  _point and _rows convert between a
+point and its complex row [a2, c1, c2, c3], the form the sampler and search
+use.  These conditions are necessary, not sufficient, so the region relaxes
+the true class: suprema over it are upper evidence, never membership proofs.
 """
 
 from __future__ import annotations
@@ -171,28 +171,25 @@ def schwarz_feasible(p: SchwarzParams) -> FeasibilityCheck:
     return FeasibilityCheck(all(m >= -FEASIBILITY_TOL for m in margins), margins)
 
 
-def pull_back(z: np.ndarray, m: np.ndarray | None = None) -> None:
+def pull_back(z: np.ndarray, m: np.ndarray) -> None:
     """Pull points into the region in place; elementwise.  z is entry-first:
     z[0], z[1], z[2], z[3] hold a2, c1, c2, c3 over any trailing shape, one
-    point of shape (4,) or the search's proposals of shape (4, chains, moves).
+    point of shape (4,) or the search's proposals of shape (4, chains, moves);
+    m holds their moduli, which must equal np.hypot(z.real, z.imag) bit for
+    bit (the search passes the moduli it shares between a chain's proposals).
 
     The package's one projection, behind project_feasible and the search's
-    pull-back of every proposal.  One pass: the moduli of all four entries
-    (m when given, which must equal np.hypot(z.real, z.imag) bit for bit:
-    the search passes the moduli it shares between a chain's proposals),
-    then the radii in order (A2_RADIUS, the c1 radius, then the c2 and c3
-    bounds clamped at 0), in which a shrunk entry's bound stands in for its
-    modulus, so once c1 reaches the unit circle the tail is exactly zero at
-    every phase; then one multiply by the factor min(radius / modulus, 1),
-    which is radius / modulus where the modulus exceeds the radius and
-    exactly 1 elsewhere, 0 / 0 (a NaN, which fmin drops) and a quotient that
-    overflows included: a no-op, bit for bit, when a2 = 0, though a zero part
-    may change sign.  No slack: a rescaled entry may land an ulp above its
-    bound, inside FEASIBILITY_TOL.  The caps are not projected onto;
-    within_caps checks them.
+    pull-back of every proposal.  One pass: the radii in order (A2_RADIUS,
+    the c1 radius, then the c2 and c3 bounds clamped at 0), in which a shrunk
+    entry's bound stands in for its modulus, so once c1 reaches the unit
+    circle the tail is exactly zero at every phase; then one multiply by the
+    factor min(radius / modulus, 1), which is radius / modulus where the
+    modulus exceeds the radius and exactly 1 elsewhere, 0 / 0 (a NaN, which
+    fmin drops) and a quotient that overflows included: a no-op, bit for bit,
+    when a2 = 0, though a zero part may change sign.  No slack: a rescaled
+    entry may land an ulp above its bound, inside FEASIBILITY_TOL.  The caps
+    are not projected onto; within_caps checks them.
     """
-    if m is None:
-        m = np.hypot(z.real, z.imag)
     radius = np.empty_like(m)
     radius[0], radius[1] = A2_RADIUS, _C1_RADIUS
     m1 = np.minimum(m[1], _C1_RADIUS)
@@ -213,7 +210,7 @@ def project_feasible(p: SchwarzParams) -> SchwarzParams:
     if schwarz_feasible(p).feasible:
         return p
     z = np.array([0, p.c1, p.c2, p.c3], dtype=complex)
-    pull_back(z)
+    pull_back(z, np.hypot(z.real, z.imag))
     return SchwarzParams(*z[1:])
 
 
@@ -279,33 +276,59 @@ def _check_a2_mode(a2_mode: str) -> None:
         raise ValueError(f"a2_mode must be one of {A2_MODES}, got {a2_mode!r}")
 
 
-def _sample_rows(draw, n: int, a2_mode: str = "free") -> np.ndarray:
-    """n region points as complex rows [a2, c1, c2, c3], of shape (n, 4),
-    from the uniform source draw.  Each round takes one attempt for every row
-    still missing its point, through one _region_rows call: draw(todo, width)
-    returns a (len(todo), width) array of uniforms for the rows todo, two per
-    disc (a2's skipped in zero mode, width 6 instead of 8).  Rows whose
-    attempt breaks a cap are drawn again in the next round.
+#: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
+#: (Steele, Lea & Flood, OOPSLA 2014).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser of a uint64 array, wrapping mod 2**64."""
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> np.uint64(31)
+
+
+def _keys(seed: int, ks: np.ndarray) -> np.ndarray:
+    """The keys of the streams (seed, ks[i]), the package's one source of
+    uniforms: stream (seed, k) is SplitMix64 from the key
+    mix(mix(seed) + (k + 1) gamma), 0 <= seed, k < 2**64.  The seed is mixed
+    first, so that (s, k + 1) and (s + gamma, k) do not share a key, as they
+    would unmixed.  All in uint64 arrays, here and in _uniforms, whose
+    wrap-around is the arithmetic mod 2**64 meant.
+    """
+    with np.errstate(over="ignore"):
+        seed_key = _mix(np.array([seed], np.uint64))
+        return _mix(seed_key + (ks.astype(np.uint64) + np.uint64(1)) * _GAMMA)
+
+
+def _uniforms(keys: np.ndarray, first: int, width: int) -> np.ndarray:
+    """Uniforms first + 1 .. first + width of the streams with these keys, of
+    shape (len(keys), width); the n-th uniform (n = 1, 2, ...) of the stream
+    with key K is (mix(K + n gamma) >> 11) * 2**-53.
+    """
+    with np.errstate(over="ignore"):
+        x = keys[:, None] + np.arange(first + 1, first + width + 1, dtype=np.uint64) * _GAMMA
+        return (_mix(x) >> np.uint64(11)).astype(float) * 2.0**-53
+
+
+def _sample_rows(seed: int, ks: np.ndarray, a2_mode: str = "free") -> np.ndarray:
+    """Region points as complex rows [a2, c1, c2, c3], of shape (len(ks), 4):
+    row i is the first attempt of stream (seed, ks[i]) that respects the caps.
+    Attempt r is the stream's uniforms r w + 1 .. (r + 1) w, two per disc (w
+    = 8, or 6 in zero mode, which skips a2's), so a row depends only on
+    (seed, ks[i]).  Round r takes attempt r of every row still missing its
+    point, through one _region_rows call.
     """
     _check_a2_mode(a2_mode)
     width = 8 if a2_mode == "free" else 6
-    x = np.empty((n, 4), complex)
-    todo = np.arange(n)
+    keys = _keys(seed, ks)
+    x = np.empty((len(ks), 4), complex)
+    todo, first = np.arange(len(ks)), 0
     while len(todo):
-        got, ok = _region_rows(draw(todo, width))
+        got, ok = _region_rows(_uniforms(keys[todo], first, width))
         x[todo[ok]] = got[ok]
-        todo = todo[~ok]
+        todo, first = todo[~ok], first + width
     return x
-
-
-def _generator_draw(rng: np.random.Generator):
-    """rng as one uniform source for every row of _sample_rows: each round is
-    one rng.random call, which consumes the stream exactly as one
-    rng.random(width) call per attempt, in row order, would.  So n rows drawn
-    from it are the points of n sample_point calls on rng, in another order,
-    and rng is left where those calls leave it.
-    """
-    return lambda todo, width: rng.random((len(todo), width))
 
 
 def _point(row: np.ndarray) -> UParamPoint:
@@ -320,14 +343,14 @@ def _rows(points) -> np.ndarray:
 
 def sample_point(rng: np.random.Generator, a2_mode: str = "free") -> UParamPoint:
     """Draw a region point: a2 on its disc (skipped in zero mode), then c1,
-    then c2 and c3 on the discs the earlier draws leave open.
+    then c2 and c3 on the discs the earlier draws leave open, rejecting
+    draws that break a class coefficient cap.
 
-    Draws violating a class coefficient cap are rejected and redrawn from the
-    same stream, which keeps the construction deterministic per stream.  In
-    zero mode the caps can never bind, so the first draw is returned.  The
-    one-row call of _sample_rows with rng as its source (_generator_draw).
+    rng draws one key k with one rng.integers call, and the point is
+    _sample_rows' row for stream (0, k): the start of restart k of a
+    campaign at seed 0.
     """
-    return _point(_sample_rows(_generator_draw(rng), 1, a2_mode)[0])
+    return _point(_sample_rows(0, rng.integers(2**63, size=1), a2_mode)[0])
 
 
 def region_violation(point: UParamPoint, a2_mode: str) -> str | None:

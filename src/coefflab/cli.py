@@ -26,9 +26,11 @@ written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
 cross-check); either prints one line, error: and the message, on stderr.
-report's map oracle draws its points from one Generator through class_u's
-rejection loop, one rng.random call per round, and keeps the largest gap of
-class_u's one map-vs-series comparison, a max that ignores the points' order.
+report's two oracles draw from class_u's streams of uniforms: the map
+oracle's points are class_u's sampler rows for streams (ORACLE_MAP_SEED, i),
+the starts a free campaign at that seed draws, and it keeps the largest gap
+of class_u's one map-vs-series comparison; the closed-form oracle's window i
+takes its 8 uniforms from stream (ORACLE_WINDOW_SEED, i).
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ from .class_u import (
     EvaluationFailure,
     UnknownName,
     _coefficient_routes,
-    _generator_draw,
+    _keys,
     _sample_rows,
+    _uniforms,
     catalog,
     membership_max_defect,
     named_evaluator,
@@ -397,7 +400,7 @@ _SHARP_ROWS = (
 
 def _report_closed_form_oracle() -> dict:
     # a2..a5 of each window on the disc of radius 5, each drawn as radius then angle
-    u = np.random.default_rng(ORACLE_WINDOW_SEED).random((ORACLE_COUNT, 4, 2))
+    u = _uniforms(_keys(ORACLE_WINDOW_SEED, np.arange(ORACLE_COUNT)), 0, 8).reshape(-1, 4, 2)
     r, th = 5.0 * np.sqrt(u[..., 0]), 2.0 * np.pi * u[..., 1]
     tails = np.empty(r.shape, complex)
     tails.real, tails.imag = r * np.cos(th), r * np.sin(th)
@@ -410,9 +413,8 @@ def _report_closed_form_oracle() -> dict:
 
 
 def _report_map_oracle() -> dict:
-    rows = _sample_rows(_generator_draw(np.random.default_rng(ORACLE_MAP_SEED)), ORACLE_COUNT)
     worst = 0.0
-    for a2, c1, c2, c3 in rows.tolist():
+    for a2, c1, c2, c3 in _sample_rows(ORACLE_MAP_SEED, np.arange(ORACLE_COUNT)).tolist():
         worst = max(worst, *_coefficient_routes(a2, c1, c2, c3, 5)[2])
     return {"points": ORACLE_COUNT, "seed": ORACLE_MAP_SEED, "max_delta": worst}
 

@@ -90,9 +90,9 @@ class DeterminantId:
     """Names one determinant: kind 'T' (Toeplitz) or 'H' (Hankel), size q and
     offset n, integers >= 1 (stored as plain ints; anything else raises ValueError).
 
-    min_window, the closed form and (q <= 3) the cofactor layout are resolved
-    on first use and kept outside the fields: ==, hash, repr and pickle see
-    only kind, q and n."""
+    min_window, the closed form and the matrix layout are resolved on first
+    use and kept outside the fields: ==, hash, repr and pickle see only kind,
+    q and n."""
 
     kind: str
     q: int
@@ -121,12 +121,10 @@ class DeterminantId:
         return _CLOSED_FORMS.get(self)
 
     @cached_property
-    def _cells(self) -> operator.itemgetter | None:
-        """For q <= 3, the getter of the matrix entries from w.a by their
-        0-based indices, row by row (for q = 1 the one entry itself); None for
-        larger q, whose LU route builds its entries after the window check."""
-        if self.q > 3:
-            return None
+    def _cells(self) -> operator.itemgetter:
+        """The getter of the matrix entries from w.a by their 0-based indices,
+        row by row (for q = 1 the one entry itself): the one statement of the
+        Toeplitz and Hankel layouts."""
         toeplitz, q = self.kind == "T", range(self.q)
         return operator.itemgetter(
             *(self.n - 1 + (abs(i - j) if toeplitz else i + j) for i in q for j in q))
@@ -166,40 +164,30 @@ def _too_short(w: CoefficientWindow, det: DeterminantId) -> WindowTooShort:
     return WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {w.m}")
 
 
-def _det_cofactor(e, q: int) -> complex:
+def _det_entries(e, q: int) -> complex:
     """Determinant of the q x q matrix with entries e, row by row (e itself at q = 1)."""
-    if q == 1:
-        return e
     if q == 2:
         return e[0] * e[3] - e[1] * e[2]
-    # q == 3, first-row expansion
-    return (
-        e[0] * (e[4] * e[8] - e[5] * e[7])
-        - e[1] * (e[3] * e[8] - e[5] * e[6])
-        + e[2] * (e[3] * e[7] - e[4] * e[6])
-    )
-
-
-def _entries(w: CoefficientWindow, det: DeterminantId) -> list[list[complex]]:
-    if det.kind == "T":
-        return [
-            [w.coeff(det.n + abs(i - j)) for j in range(det.q)] for i in range(det.q)
-        ]
-    return [[w.coeff(det.n + i + j) for j in range(det.q)] for i in range(det.q)]
+    if q == 3:  # first-row expansion
+        return (
+            e[0] * (e[4] * e[8] - e[5] * e[7])
+            - e[1] * (e[3] * e[8] - e[5] * e[6])
+            + e[2] * (e[3] * e[7] - e[4] * e[6])
+        )
+    if q == 1:
+        return e
+    return complex(np.linalg.det(np.array(e).reshape(q, q)))
 
 
 def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
-    """Determinant by direct evaluation.
+    """Determinant by direct evaluation of the matrix det._cells lays out.
 
     Cofactor expansion for q <= 3 keeps small cases exact and dependency-free;
     q >= 4 goes through LU with partial pivoting (numpy).
     """
     if len(w.a) < det.min_window:
         raise _too_short(w, det)
-    cells = det._cells
-    if cells is not None:
-        return _det_cofactor(cells(w.a), det.q)
-    return complex(np.linalg.det(np.array(_entries(w, det), dtype=complex)))
+    return _det_entries(det._cells(w.a), det.q)
 
 
 def closed_form_function(det: DeterminantId) -> Callable[..., complex]:

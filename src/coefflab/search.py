@@ -50,14 +50,13 @@ entry's new np.hypot.  The proposals are pulled back with these shared
 moduli, which equal np.hypot of the proposals' entries bit for bit.
 
 Determinism contract: restart k draws its start from its own stream of
-uniforms, SplitMix64 from a key hashed from (seed, k) (_restart_draw), which
-a block of restarts computes together in uint64 arrays; _sample_rows takes
-each restart's attempts from its own stream in order, so its start depends
-only on (seed, k).  Every array operation of the engine is
-elementwise, so a chain's result does not depend on which chains share the
-pool, and the cross-restart reduction (max value, then lowest restart index)
-is order independent: results are bit-identical across reruns, restart
-counts, pool sizes and the jobs run together.
+uniforms, class_u's stream (seed, k), which _sample_rows reads for a block
+of restarts together in uint64 arrays, so its start depends only on
+(seed, k).  Every array operation of the engine is elementwise, so a
+chain's result does not depend on which chains share the pool, and the
+cross-restart reduction (max value, then lowest restart index) is order
+independent: results are bit-identical across reruns, restart counts, pool
+sizes and the jobs run together.
 """
 
 from __future__ import annotations
@@ -274,41 +273,6 @@ def _catalog_entries(a2_mode: str) -> tuple:
     return tuple((name, e) for name, e in entries if region_violation(e.param, a2_mode) is None)
 
 
-#: SplitMix64's increment, the odd integer nearest 2**64 / golden ratio
-#: (Steele, Lea & Flood, OOPSLA 2014).
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser of a uint64 array, wrapping mod 2**64."""
-    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
-    return x ^ x >> np.uint64(31)
-
-
-def _restart_draw(seed: int, ks: np.ndarray):
-    """A uniform source draw(todo, width) for _sample_rows whose row i is
-    restart ks[i]'s own stream: SplitMix64 from the key
-    mix(mix(seed) + (k + 1) gamma), whose n-th uniform (n = 1, 2, ...) is
-    (mix(key + n gamma) >> 11) * 2**-53.  The seed is mixed first, so that
-    (s, k + 1) and (s + gamma, k) do not share a key, as they would unmixed.
-    Each row holds key + n gamma for the n it has drawn, so a draw advances
-    only the streams of the rows todo.  All in uint64 arrays, whose
-    wrap-around is the arithmetic mod 2**64 meant.
-    """
-    with np.errstate(over="ignore"):
-        seed_key = _mix(np.array([seed], np.uint64))
-        state = _mix(seed_key + (ks.astype(np.uint64) + np.uint64(1)) * _GAMMA)
-
-    def draw(todo: np.ndarray, width: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            x = state[todo, None] + np.arange(1, width + 1, dtype=np.uint64) * _GAMMA
-            state[todo] = x[:, -1]
-            return (_mix(x) >> np.uint64(11)).astype(float) * 2.0**-53
-
-    return draw
-
-
 def _starts(witnesses: np.ndarray, config: SearchConfig, a2_mode: str):
     """A campaign's (first chain index, start rows) in blocks of at most
     _BLOCK rows, drawn as the pool asks for them: the witnesses, then
@@ -319,7 +283,7 @@ def _starts(witnesses: np.ndarray, config: SearchConfig, a2_mode: str):
         block = indices[lo:lo + _BLOCK]
         ks = np.arange(max(block.start, 0), block.stop)
         yield lo, np.concatenate([witnesses[lo:lo + _BLOCK],
-                                  _sample_rows(_restart_draw(config.seed, ks), len(ks), a2_mode)])
+                                  _sample_rows(config.seed, ks, a2_mode)])
 
 
 def campaigns(jobs) -> list[SearchResult]:

@@ -53,6 +53,12 @@ def sequential_pull_back(z):
     z[..., 3] = _shrink(z[..., 3], np.maximum(_c3_bound(m1, m2), 0.0))[0]
 
 
+def pull(z):
+    """pull_back with z's own moduli, as project_feasible passes them; z may
+    be a view, which is pulled back in place."""
+    pull_back(z, np.hypot(z.real, z.imag))
+
+
 class TestFeasibility:
     def test_extreme_c1(self):
         chk = schwarz_feasible(SchwarzParams(1, 0, 0))
@@ -156,7 +162,7 @@ class TestProjection:
         # comes back bit for bit, infeasible tail or not
         z = np.array([[2.5j, 1.5, 0.5, 0.25], [0, 1.5, 0.5, 0.25], [0, 0.3, 0.2j, 0.05]])
         zero_a2 = z[1:, 0].tobytes()
-        pull_back(z.T)
+        pull(z.T)
         assert z[0].tolist() == [2j, 1, 0, 0]
         assert z[1:, 0].tobytes() == zero_a2
         assert z[1].tolist() == [0, 1, 0, 0]
@@ -210,8 +216,8 @@ class TestPullBackOracle:
         want = rows.copy()
         sequential_pull_back(want)
         planes = np.moveaxis(rows, -1, 0).copy()
-        pull_back(planes)
-        pull_back(np.moveaxis(rows, -1, 0))
+        pull(planes)
+        pull(np.moveaxis(rows, -1, 0))
         assert rows.tobytes() == want.tobytes()
         assert planes.tobytes() == np.moveaxis(want, -1, 0).copy().tobytes()
 
@@ -239,7 +245,8 @@ class TestPullBackOracle:
 class TestPullBackFactor:
     """pull_back's factor min(radius / modulus, 1) against masked_factor,
     compared as bytes, on a (4, k) batch and on (4,) points, with the moduli
-    passed in and without."""
+    taken from z, as project_feasible passes them, and given by the caller,
+    as the search shares them between a chain's proposals."""
 
     def test_edge_rows_reach_every_case_of_the_factor(self):
         m = np.hypot(EDGE_ROWS_T.real, EDGE_ROWS_T.imag)
@@ -261,7 +268,12 @@ class TestPullBackFactor:
             for z in (batch.copy(), *batch.T.copy()):
                 m = np.hypot(z.real, z.imag)
                 want = z * masked_factor(m)[1]
-                pull_back(z, m if moduli else None)
+                if moduli:
+                    given = m.copy()
+                    pull_back(z, given)
+                    assert given.tobytes() == m.tobytes()  # the caller's moduli are only read
+                else:
+                    pull(z)
                 assert z.tobytes() == want.tobytes()
 
 

@@ -73,6 +73,33 @@ class TestEval:
         assert code == 0
         assert json.loads(out)["results"]["value"] == [0.0, -84.0]
 
+    def test_complex_value_in_csv_and_text(self, capsys):
+        # a value with both parts non-zero prints as re+imi in csv and text
+        argv = ("eval", "--coeffs", "1,0.3-2i,1.5,-0.25i,4,7,-3i", "--det", "H3,1")
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1][2:4] == ["16.8275+4.575i", "17.4383308046"]
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert "  16.8275+4.575i  " in out
+        assert cli._fmt(1.5 - 0.25j) == "1.5-0.25i"
+
+    def test_determinant_without_a_closed_form(self, capsys):
+        # T4,1 has no closed form: its cross-check fields are null in JSON
+        # and empty cells in csv
+        argv = ("eval", "--coeffs", "1,2i,-3,-4i,5", "--det", "T4,1")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["closed_form"] is None and results["crosscheck_delta"] is None
+        assert results["modulus"] == pytest.approx(116)
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, row = list(csv.reader(io.StringIO(out)))
+        cells = dict(zip(header, row))
+        assert (cells["closed_form"], cells["crosscheck_delta"]) == ("", "")
+        assert cells["determinant"] == "T4,1"
+
     def test_exit_2_on_bad_det(self, capsys):
         assert run(capsys, "eval", "--function", "f1", "--det", "X1,1")[0] == 2
 

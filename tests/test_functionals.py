@@ -32,6 +32,10 @@ class TestWindow:
         with pytest.raises(ValueError):
             CoefficientWindow((2, 1))
 
+    def test_must_hold_a1(self):
+        with pytest.raises(ValueError, match="at least a1"):
+            CoefficientWindow(())
+
     @pytest.mark.parametrize(
         "entry", [float("nan"), float("inf"), complex(0, float("-inf")), complex(float("nan"), 1)]
     )
@@ -56,6 +60,10 @@ class TestDeterminantId:
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
             DeterminantId.parse(bad)
+
+    def test_constructor_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            DeterminantId("X", 1, 1)
 
     @pytest.mark.parametrize(("q", "n"), [(True, 2), (2, True), (np.True_, 1), (2.5, 1),
                                           (1, 2.0), ("2", 2), (0, 1), (2, 0), (-1, 2)])
@@ -236,12 +244,15 @@ REFERENCE_FORMS = {
 
 
 def reference_det(w: CoefficientWindow, det: DeterminantId) -> complex:
-    """The docstring's matrix, filled through w.coeff, expanded along its first row."""
+    """The docstring's matrix, filled through w.coeff: expanded along its
+    first row for q <= 3, through numpy's LU for larger q."""
     q, n = det.q, det.n
     if det.kind == "T":
         m = [[w.coeff(n + abs(i - j)) for j in range(q)] for i in range(q)]
     else:
         m = [[w.coeff(n + i + j) for j in range(q)] for i in range(q)]
+    if q > 3:
+        return complex(np.linalg.det(np.array(m, dtype=complex)))
     if q == 1:
         return m[0][0]
     if q == 2:
@@ -254,6 +265,7 @@ def reference_det(w: CoefficientWindow, det: DeterminantId) -> complex:
 
 
 SMALL_IDS = [DeterminantId(kind, q, n) for kind in "TH" for q in (1, 2, 3) for n in (1, 2, 3)]
+LU_IDS = [DeterminantId(kind, q, n) for kind in "TH" for q in (4, 5) for n in (1, 2)]
 
 
 class TestReferenceArithmetic:
@@ -278,6 +290,14 @@ class TestReferenceArithmetic:
     @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS + tuple(SMALL_IDS), ids=str)
     def test_det_value(self, det):
         for w in self.WINDOWS:
+            assert det_value(w, det) == reference_det(w, det)
+            exact = CoefficientWindow(w.a[:det.min_window])
+            assert det_value(exact, det) == reference_det(exact, det)
+
+    @pytest.mark.parametrize("det", LU_IDS, ids=str)
+    def test_det_value_lu_route(self, det):
+        # the LU route's matrix is the same layout as the cofactor route's
+        for w in _disc_windows(20261020, 50, 10):
             assert det_value(w, det) == reference_det(w, det)
             exact = CoefficientWindow(w.a[:det.min_window])
             assert det_value(exact, det) == reference_det(exact, det)

@@ -1,13 +1,14 @@
-"""The restart streams of a campaign (search._restart_draw) against a scalar
-SplitMix64 in Python ints, and pinned to literal values, so that their bits
-cannot drift between numpy versions."""
+"""The streams of uniforms (class_u._keys and _uniforms), from which campaigns,
+sample_point and both report oracles draw, against a scalar SplitMix64 in
+Python ints, and pinned to literal values, so that their bits cannot drift
+between numpy versions."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from coefflab.search import _mix, _restart_draw
+from coefflab.class_u import _keys, _mix, _uniforms
 
 M64 = 2**64 - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -21,8 +22,8 @@ def mix(z: int) -> int:
 
 
 class SplitMix64:
-    """Restart k's stream of a campaign with this seed, one uniform per
-    random() call: the scalar oracle of search._restart_draw."""
+    """Stream (seed, k), restart k's of a campaign with this seed, one
+    uniform per random() call: the scalar oracle of class_u._uniforms."""
 
     def __init__(self, seed: int, k: int) -> None:
         self.state = mix(mix(seed) + (k + 1) * GAMMA & M64)
@@ -55,13 +56,12 @@ def test_finaliser_matches_the_reference_vector():
 @pytest.mark.parametrize("width", [8, 6])
 def test_rounds_match_scalar_splitmix(seed, width):
     # rounds on shrinking subsets of the streams, the way the sampler's
-    # rejection loop draws again for the rows still missing a point
-    draw = _restart_draw(seed, KS)
+    # rejection loop takes attempt r of the rows still missing a point
     refs = [SplitMix64(seed, k) for k in KS.tolist()]
     pick = np.random.default_rng(width)
     todo = KS
-    for _ in range(4):
-        got = draw(todo, width)
+    for r in range(4):
+        got = _uniforms(_keys(seed, todo), r * width, width)
         want = np.array([[refs[i].random() for _ in range(width)] for i in todo.tolist()])
         assert got.tobytes() == want.tobytes()
         todo = np.sort(pick.choice(todo, len(todo) // 3, replace=False))
@@ -70,14 +70,12 @@ def test_rounds_match_scalar_splitmix(seed, width):
 def test_literal_values():
     # the first uniforms of a few streams, written out: a change of constant,
     # key derivation or float conversion shows here on any numpy version
-    draw = _restart_draw(42, np.array([0, 1, 10**7]))
-    assert draw(np.arange(3), 2).tolist() == [
+    assert _uniforms(_keys(42, np.array([0, 1, 10**7])), 0, 2).tolist() == [
         [0.33437656621120193, 0.8362901824612591],
         [0.4001805501584017, 0.8917663997798919],
         [0.6368605974719739, 0.6374705666221377],
     ]
-    draw = _restart_draw(2**64 - 1, np.array([0]))
-    assert draw(np.array([0]), 1).tolist() == [[0.58809082213156]]
+    assert _uniforms(_keys(2**64 - 1, np.array([0])), 0, 1).tolist() == [[0.58809082213156]]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -87,16 +85,20 @@ def test_range_ends_warn_nothing(seed):
     ks = np.array([0, 1, 2**31, 10**7 - 1, 10**7])
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        got = _restart_draw(seed, ks)(np.arange(len(ks)), 8)
+        got = _uniforms(_keys(seed, ks), 0, 8)
     refs = [SplitMix64(seed, k) for k in ks.tolist()]
     assert got.tolist() == [[r.random() for _ in range(8)] for r in refs]
     assert ((got >= 0.0) & (got < 1.0)).all()
 
 
-def test_a_draw_advances_only_its_rows():
-    draw = _restart_draw(5, KS[:4])
-    draw(np.array([0, 2]), 8)
-    # rows 1 and 3 start from their first uniform, rows 0 and 2 go on from their ninth
+def test_attempt_r_reads_its_own_uniforms():
+    # attempt r of a stream is its uniforms r w + 1 .. (r + 1) w, whatever was
+    # drawn before: no stream holds state, so attempts 3 and 2 of some rows,
+    # asked for out of order, equal the scalar stream's
     refs = [SplitMix64(5, k) for k in range(4)]
-    want = [[r.random() for _ in range(16)] for r in refs]
-    assert draw(np.arange(4), 8).tolist() == [want[0][8:], want[1][:8], want[2][8:], want[3][:8]]
+    want = [[r.random() for _ in range(32)] for r in refs]
+    rows = np.array([2, 0, 3])
+    for width in (8, 6):
+        for r in (3, 2):
+            assert _uniforms(_keys(5, rows), r * width, width).tolist() == [
+                want[i][r * width:(r + 1) * width] for i in rows.tolist()]

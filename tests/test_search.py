@@ -22,11 +22,12 @@ from coefflab.class_u import (
     _C1_RADIUS,
     _c2_bound,
     _c3_bound,
+    _keys,
     _point,
-    _generator_draw,
     _region_rows,
     _rows,
     _sample_rows,
+    _uniforms,
     coefficient_quintet,
     pull_back,
     region_violation,
@@ -111,7 +112,7 @@ def counted_climb(objective, start, budget):
                     break
                 cand = y.copy()
                 cand.view(float)[0, slot] += sign * step
-                pull_back(cand.T)
+                pull_back(cand.T, np.hypot(cand.real, cand.imag).T)
                 fc = search._values(cand.T, fn)[0]
                 evals += 1
                 if fc > fy:
@@ -213,37 +214,33 @@ class TestSampler:
 
     @pytest.mark.parametrize("mode", A2_MODES)
     def test_one_stream_draws_match_the_oracle(self, mode):
-        # a Generator listed n times gives the points of n sequential draws,
-        # bit for bit though not in order, and is left where those draws leave it
-        for n in (0, 1, 2, 1500):
-            rng, ref = np.random.default_rng([13, n]), np.random.default_rng([13, n])
-            rows = _sample_rows(_generator_draw(rng), n, mode)
-            want = _rows([sequential_sample_point(ref, mode) for _ in range(n)]).reshape(n, 4)
-            assert rows.shape == (n, 4)
-            assert sorted(r.tobytes() for r in rows) == sorted(r.tobytes() for r in want)
-            assert rng.random() == ref.random()
+        # sample_point draws one key k with rng.integers and gives the point
+        # the sequential sampler draws from stream (0, k), leaving rng where
+        # that one call leaves it
         rng, ref = np.random.default_rng(14), np.random.default_rng(14)
-        assert [sample_point(rng, mode) for _ in range(20)] == [
-            sequential_sample_point(ref, mode) for _ in range(20)]
+        for _ in range(20):
+            k = int(ref.integers(2**63))
+            assert sample_point(rng, mode) == sequential_sample_point(SplitMix64(0, k), mode)
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("mode", A2_MODES)
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
     def test_one_call_per_round_is_one_call_per_attempt(self, mode, n):
-        # a Generator source draws each round in one rng.random call; that
-        # gives the rows, in order, of one rng.random(width) call per attempt
-        # and leaves the Generator where those calls leave it
+        # each round draws the attempts of all rows still missing a point in
+        # one _uniforms and one _region_rows call; that gives the rows of one
+        # call per attempt of each row on its own, attempt r from uniforms
+        # r w + 1 .. (r + 1) w of its stream
         width = 8 if mode == "free" else 6
         for seed in range(5):
-            rng, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            ks = np.arange(3 * n)[::3]  # keys that are not the row indices
             want = np.empty((n, 4), complex)
-            todo = np.arange(n)
-            while len(todo):
-                got, ok = _region_rows(np.array([ref.random(width) for _ in todo]))
-                want[todo[ok]] = got[ok]
-                todo = todo[~ok]
-            assert _sample_rows(_generator_draw(rng), n, mode).tobytes() == want.tobytes()
-            assert rng.random() == ref.random()
+            for i, k in enumerate(ks.tolist()):
+                for r in range(100):
+                    got, ok = _region_rows(_uniforms(_keys(seed, np.array([k])), r * width, width))
+                    if ok[0]:
+                        break
+                want[i] = got[0]
+            assert _sample_rows(seed, ks, mode).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mode", A2_MODES)
     def test_per_stream_draws_match_campaign_starts(self, mode):
@@ -252,10 +249,10 @@ class TestSampler:
         objective = Objective(DeterminantId.parse("T3,2"), mode)
         config = SearchConfig(seed=21, restarts=700)
         ks = np.arange(config.restarts)
-        rows = _sample_rows(search._restart_draw(config.seed, ks), len(ks), mode)
+        rows = _sample_rows(config.seed, ks, mode)
         skip = len(search._catalog_entries(objective.a2_mode))
         assert rows.tobytes() == campaign_starts(objective, config)[skip:].tobytes()
-        assert _sample_rows(search._restart_draw(config.seed, ks[:0]), 0, mode).shape == (0, 4)
+        assert _sample_rows(config.seed, ks[:0], mode).shape == (0, 4)
 
     def test_draws_feasible_and_capped(self):
         # 10^4 draws per a2 mode through the array sampler campaigns run: all
@@ -266,7 +263,7 @@ class TestSampler:
         from coefflab.class_u import u_coefficients
 
         for mode in A2_MODES:
-            rows = _sample_rows(_generator_draw(np.random.default_rng(11)), 10_000, mode)
+            rows = _sample_rows(11, np.arange(10_000), mode)
             top = np.zeros(3)
             for a2, c1, c2, c3 in rows.tolist():
                 pt = UParamPoint(a2, SchwarzParams(c1, c2, c3))
@@ -589,14 +586,14 @@ class TestLockstepEngine:
             pts = np.concatenate([edge, far])
             if mode == "zero":
                 pts[pts[:, 0] != 0, 0] = 0
-            rows = np.concatenate([pts, _sample_rows(_generator_draw(rng), 20, mode)])
+            rows = np.concatenate([pts, _sample_rows(23, np.arange(20), mode)])
             tasks.append((Objective(DeterminantId.parse("T3,2"), mode), 30, [(0, rows)]))
         seen = []
         real = search.pull_back
 
         def checking(z, m):
             full = z.copy()
-            real(full)
+            real(full, np.hypot(full.real, full.imag))
             same_moduli = m.tobytes() == np.hypot(z.real, z.imag).tobytes()
             real(z, m)
             planes = z.flags.c_contiguous and m.flags.c_contiguous and len(z) == 4
@@ -613,8 +610,7 @@ class TestLockstepEngine:
         # the engine scores contiguous entry planes, where numpy may run other
         # loops (SIMD or not) than on the strided entries of rows; the layout
         # must not move a bit of any value on the CPUs and numpy versions CI runs
-        rng = np.random.default_rng(31)
-        rows = np.concatenate([_sample_rows(_generator_draw(rng), 1000, mode) for mode in A2_MODES])
+        rows = np.concatenate([_sample_rows(31, np.arange(1000), mode) for mode in A2_MODES])
         strided = rows.T
         planes = np.ascontiguousarray(strided)
         fn = closed_form_function(det)
@@ -696,7 +692,7 @@ class TestCampaigns:
         def no_draws(*args):
             raise AssertionError("a start was drawn")
 
-        monkeypatch.setattr(search, "_restart_draw", no_draws)
+        monkeypatch.setattr(search, "_sample_rows", no_draws)
         good = mixed_jobs([5] * 5)
         for bad in [(T22, SearchConfig(seed=1, restarts=10_000, refine_budget=10_000)),
                     (T22, "not a config"), (SearchConfig(seed=1), T22),

@@ -49,11 +49,8 @@ def _calling(tree: ast.AST, attr: str) -> set[str]:
 
 def test_sampler_and_row_conversion_have_one_home():
     # one sampler loop: in the package only class_u._sample_rows turns
-    # uniforms into points, and in class_u only its Generator source draws
-    # from a Generator; and the row <-> point conversion is class_u's, which
-    # search imports rather than defines
-    tree = ast.parse((PACKAGE / "class_u.py").read_text())
-    assert _calling(tree, "random") == {"_generator_draw"}
+    # uniforms into points; and the row <-> point conversion is class_u's,
+    # which search imports rather than defines
     loops = {
         path.name: _calling(ast.parse(path.read_text()), "_region_rows")
         for path in sorted(PACKAGE.glob("*.py"))
@@ -94,10 +91,25 @@ def test_no_array_is_reinterpreted_with_view():
     assert found == []
 
 
+def test_every_uniform_comes_from_the_streams():
+    # campaigns, sample_point and both report oracles draw from class_u's
+    # SplitMix64 streams: no module calls random, default_rng or SeedSequence,
+    # and only sample_point calls integers, to draw the key of its one stream
+    found = [
+        (path.name, name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+        in ("random", "default_rng", "SeedSequence", "integers")
+    ]
+    assert found == [("class_u.py", "integers")]
+    assert _calling(ast.parse((PACKAGE / "class_u.py").read_text()), "integers") == {"sample_point"}
+
+
 def test_search_builds_no_generator():
-    # campaign draws its starts from its own SplitMix64 streams
-    # (search._restart_draw): no Generator, SeedSequence or bit generator
-    # in search.py at all
+    # campaign draws its starts from class_u's SplitMix64 streams: no
+    # Generator, SeedSequence or bit generator in search.py at all
     tree = ast.parse((PACKAGE / "search.py").read_text())
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
