@@ -16,9 +16,11 @@ coefficient map used throughout:
 
 _coefficient_routes is the one place this map is compared with the series
 route, in one pass: it runs series._reciprocal, the forward recursion behind
-series.series_reciprocal, on the tuple of z/f's coefficients and checks the
-result finite once, with no TruncatedSeries built on the way in or out;
-u_coefficients and the report's map oracle both read its gaps.
+series.series_reciprocal, on the tuple of z/f's coefficients, with no
+TruncatedSeries built on the way in or out.  It is elementwise, so it takes
+one point as complex scalars or many as arrays: u_coefficients reads its gaps
+for one point, after checking the series finite, and the report's map oracle
+for its 1000 points in one call.
 
 The search region is the point set (a2, c1, c2, c3) with |a2| <= 2 and the
 necessary conditions
@@ -374,11 +376,12 @@ def _coefficient_routes(a2: complex, c1: complex, c2: complex, c3: complex,
     """a1..am two ways: the polynomial map's a1..a5 (the first m of them), the
     series reciprocal of z/f = 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4 (cut or
     zero-padded to order m-1), f/z = a1 + a2 z + ...; and |map - series| at
-    each shared ak.  A series that overflows raises ValueError.
+    each shared ak.  Elementwise: a2..c3 may be complex scalars or arrays of
+    one shape, and each entry from a2 on has their shape (a1 stays scalar).
+    Nothing is checked finite here; the callers check what they read.
     """
     lead = (1 + 0j, -a2, -c1, -c2, -c3)
     series = _reciprocal(lead[:m] if m <= 5 else lead + (0j,) * (m - 5))
-    _require_finite(series)
     direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))[:m]
     return direct, series, tuple(map(abs, map(operator.sub, direct, series)))
 
@@ -390,11 +393,13 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
     must agree to MAP_AGREEMENT_TOL on a1..a5, else CrossCheckFailed is
     raised, naming the first ak that disagrees (a NaN gap disagrees); for
     m <= 5 the polynomial values are returned, for larger m the series
-    route's.  m that is not an integer >= 1 raises ValueError.
+    route's.  A series that overflows raises ValueError, and m that is not
+    an integer >= 1 raises ValueError.
     """
     m = _integer("m", m, 1)
     p = pt.schwarz
     direct, series, gaps = _coefficient_routes(pt.a2, p.c1, p.c2, p.c3, m)
+    _require_finite(series)
     if not all(map(MAP_AGREEMENT_TOL.__ge__, gaps)):
         k = next(k for k, gap in enumerate(gaps) if not gap <= MAP_AGREEMENT_TOL)
         raise CrossCheckFailed(

@@ -26,11 +26,16 @@ written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
 cross-check); either prints one line, error: and the message, on stderr.
-report's two oracles draw from class_u's streams of uniforms: the map
-oracle's points are class_u's sampler rows for streams (ORACLE_MAP_SEED, i),
-the starts a free campaign at that seed draws, and it keeps the largest gap
-of class_u's one map-vs-series comparison; the closed-form oracle's window i
-takes its 8 uniforms from stream (ORACLE_WINDOW_SEED, i).
+report's two oracles draw from class_u's streams of uniforms and each runs
+as one array pass over its ORACLE_COUNT draws.  The map oracle's points are
+class_u's sampler rows for streams (ORACLE_MAP_SEED, i), the starts a free
+campaign at that seed draws, and it keeps the largest gap of one call of
+class_u's map-vs-series comparison, which is elementwise.  The closed-form
+oracle's window i takes its 8 uniforms from stream (ORACLE_WINDOW_SEED, i);
+the windows are five planes a1..a5, on which each supported id's closed form
+is compared with the determinant of functionals' matrix layout.  An oracle
+whose largest delta is not within its tolerance (a NaN included) raises
+CrossCheckFailed, exit 3.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .bound_calculus import (
 from .class_u import (
     CATALOG_NAMES,
     DEFAULT_SAMPLES,
+    MAP_AGREEMENT_TOL,
     CrossCheckFailed,
     EvaluationFailure,
     UnknownName,
@@ -73,7 +79,9 @@ from .functionals import (
     DeterminantId,
     UnsupportedId,
     WindowTooShort,
+    _det_entries,
     closed_form,
+    closed_form_function,
     det_value,
 )
 from .search import (
@@ -96,6 +104,9 @@ DEFAULT_RADII = (0.9, 0.99)
 ORACLE_WINDOW_SEED = 1357
 ORACLE_MAP_SEED = 2468
 ORACLE_COUNT = 1000
+
+#: The closed-form oracle's tolerance on |closed form - determinant|.
+_CLOSED_FORM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +208,11 @@ def _report_table(r: dict) -> list[list[str]]:
     for ch in r["bound_chains"]:
         rows.append(["bound_chains", ch["theorem_id"], _fmt(ch["computed_value"]),
                      f"stated={ch['stated_text']} match={_fmt(ch['match'])}"])
-    rows.append(["oracles", "closed_form_vs_determinant",
-                 _fmt(r["closed_form_oracle"]["max_delta"]),
-                 f"windows={r['closed_form_oracle']['windows']}"])
-    rows.append(["oracles", "map_vs_series",
-                 _fmt(r["coefficient_map_oracle"]["max_delta"]),
-                 f"points={r['coefficient_map_oracle']['points']}"])
+    cf, cm = r["closed_form_oracle"], r["coefficient_map_oracle"]
+    rows.append(["oracles", "closed_form_vs_determinant", _fmt(cf["max_delta"]),
+                 f"windows={cf['windows']} tolerance={_fmt(cf['tolerance'])}"])
+    rows.append(["oracles", "map_vs_series", _fmt(cm["max_delta"]),
+                 f"points={cm['points']} tolerance={_fmt(cm['tolerance'])}"])
     for row in r["campaigns"]:
         rows.append(["campaigns", row["objective"], _fmt(row["best_value"]),
                      f"reference={_fmt(row['reference']['value'])} "
@@ -398,25 +408,40 @@ _SHARP_ROWS = (
 )
 
 
-def _report_closed_form_oracle() -> dict:
-    # a2..a5 of each window on the disc of radius 5, each drawn as radius then angle
+def _oracle_windows() -> np.ndarray:
+    """The closed-form oracle's windows as five planes a1..a5 of shape
+    (ORACLE_COUNT,): a1 = 1, and a2..a5 of window i on the disc of radius 5,
+    each drawn from stream (ORACLE_WINDOW_SEED, i) as radius then angle."""
     u = _uniforms(_keys(ORACLE_WINDOW_SEED, np.arange(ORACLE_COUNT)), 0, 8).reshape(-1, 4, 2)
     r, th = 5.0 * np.sqrt(u[..., 0]), 2.0 * np.pi * u[..., 1]
-    tails = np.empty(r.shape, complex)
-    tails.real, tails.imag = r * np.cos(th), r * np.sin(th)
-    worst = 0.0
-    for tail in tails.tolist():
-        w = CoefficientWindow((1.0, *tail))
-        for det in SUPPORTED_CLOSED_FORM_IDS:
-            worst = max(worst, abs(closed_form(w, det) - det_value(w, det)))
-    return {"windows": ORACLE_COUNT, "seed": ORACLE_WINDOW_SEED, "max_delta": worst}
+    a = np.ones((5, ORACLE_COUNT), complex)
+    a.real[1:], a.imag[1:] = (r * np.cos(th)).T, (r * np.sin(th)).T
+    return a
+
+
+def _oracle(name: str, deltas: list[np.ndarray], tolerance: float) -> dict:
+    """The largest of an oracle's deltas and its tolerance; CrossCheckFailed
+    unless that delta is within it (np.max keeps a NaN, which is not)."""
+    worst = float(np.max(deltas))
+    if not worst <= tolerance:
+        raise CrossCheckFailed(
+            f"{name} oracle: max delta {_fmt(worst)} is not within its tolerance {_fmt(tolerance)}")
+    return {"max_delta": worst, "tolerance": tolerance}
+
+
+def _report_closed_form_oracle() -> dict:
+    a = _oracle_windows()
+    deltas = [abs(closed_form_function(det)(*a[1:]) - _det_entries(det._cells(a), det.q))
+              for det in SUPPORTED_CLOSED_FORM_IDS]
+    return dict(_oracle("closed-form", deltas, _CLOSED_FORM_TOL),
+                windows=ORACLE_COUNT, seed=ORACLE_WINDOW_SEED)
 
 
 def _report_map_oracle() -> dict:
-    worst = 0.0
-    for a2, c1, c2, c3 in _sample_rows(ORACLE_MAP_SEED, np.arange(ORACLE_COUNT)).tolist():
-        worst = max(worst, *_coefficient_routes(a2, c1, c2, c3, 5)[2])
-    return {"points": ORACLE_COUNT, "seed": ORACLE_MAP_SEED, "max_delta": worst}
+    rows = _sample_rows(ORACLE_MAP_SEED, np.arange(ORACLE_COUNT))
+    gaps = _coefficient_routes(*rows.T, 5)[2]
+    return dict(_oracle("coefficient-map", list(np.broadcast_arrays(*gaps)), MAP_AGREEMENT_TOL),
+                points=ORACLE_COUNT, seed=ORACLE_MAP_SEED)
 
 
 def cmd_report(args) -> dict:

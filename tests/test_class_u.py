@@ -381,6 +381,20 @@ class TestCoefficientMap:
         assert len(direct) == len(gaps) == min(m, 5) and len(series) == m
         assert max(gaps) <= 1e-15
 
+    def test_array_call_matches_the_scalar_calls(self):
+        # the report's map oracle calls the routes once on 1000 sampler rows
+        # as arrays; every direct, series and gap entry matches the scalar
+        # call on that row.  numpy's complex arithmetic may round the last
+        # bits differently from Python's: the entries are capped at |a5| <= 5,
+        # where an ulp is 8.9e-16, so 1e-14 allows about ten of them
+        rows = class_u._sample_rows(2468, np.arange(1000))
+        arrays = class_u._coefficient_routes(*rows.T, 5)
+        got = np.array([np.broadcast_to(x, len(rows)) for part in arrays for x in part])
+        want = np.array([[x for part in class_u._coefficient_routes(*row, 5) for x in part]
+                         for row in rows.tolist()]).T
+        assert got.shape == want.shape == (15, 1000)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
 
 def test_map_and_series_agree_on_sampled_points():
     rng = np.random.default_rng(99)

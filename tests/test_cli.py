@@ -15,6 +15,14 @@ import coefflab.search as search
 from coefflab.bound_calculus import THEOREM_IDS
 from coefflab.class_u import EvaluationFailure
 from coefflab.cli import main, parse_complex
+from coefflab.functionals import (
+    SUPPORTED_CLOSED_FORM_IDS,
+    CoefficientWindow,
+    _det_entries,
+    closed_form,
+    closed_form_function,
+    det_value,
+)
 
 
 def run(capsys, *argv):
@@ -329,8 +337,9 @@ class TestReport:
         }
         assert len(r["bound_chains"]) == 14
         assert len(r["campaigns"]) == 6
-        assert r["closed_form_oracle"]["max_delta"] <= 1e-9
-        assert r["coefficient_map_oracle"]["max_delta"] <= 1e-10
+        assert r["closed_form_oracle"]["max_delta"] <= r["closed_form_oracle"]["tolerance"] == 1e-9
+        assert (r["coefficient_map_oracle"]["max_delta"]
+                <= r["coefficient_map_oracle"]["tolerance"] == class_u.MAP_AGREEMENT_TOL)
         assert all(row["within_reference"] for row in r["campaigns"])
         # membership sweep covers the catalog and the specimen
         names = [row["function"] for row in r["membership"]]
@@ -355,6 +364,67 @@ class TestReport:
         assert sections == {
             "sharp_values", "bound_chains", "oracles", "campaigns", "membership",
         }
+        details = {row[1]: row[3] for row in rows[1:] if row[0] == "oracles"}
+        assert details == {"closed_form_vs_determinant": "windows=1000 tolerance=1e-09",
+                           "map_vs_series": "points=1000 tolerance=1e-10"}
+
+
+def _drift(values):
+    return values + 1e-6
+
+
+def _poison(values):
+    values = np.array(values)  # a copy, one entry of it NaN
+    values[17] = np.nan
+    return values
+
+
+class TestReportOracles:
+    """Each oracle is one array pass; a delta beyond its tolerance, or a NaN,
+    fails the report with exit 3 before anything is written."""
+
+    def test_closed_form_arrays_match_the_scalar_routes(self):
+        # the oracle's planes through each supported id's closed form and
+        # functionals' matrix layout agree with the scalar closed_form and
+        # det_value on the same windows (|T3,3| reaches 519 there, where an
+        # ulp is 1.1e-13)
+        a = cli._oracle_windows()
+        windows = [CoefficientWindow(tuple(col)) for col in a.T.tolist()]
+        assert len(windows) == cli.ORACLE_COUNT
+        for det in SUPPORTED_CLOSED_FORM_IDS:
+            cf = closed_form_function(det)(*a[1:])
+            dv = _det_entries(det._cells(a), det.q)
+            assert np.max(np.abs(cf - [closed_form(w, det) for w in windows])) <= 1e-12, det
+            assert np.max(np.abs(dv - [det_value(w, det) for w in windows])) <= 1e-12, det
+
+    @staticmethod
+    def plant(monkeypatch, oracle, fault):
+        # the fault reaches the oracle's deltas through the name cli calls
+        if oracle == "closed-form":
+            real = cli._det_entries
+            monkeypatch.setattr(cli, "_det_entries", lambda e, q: fault(real(e, q)))
+        else:
+            real = cli._coefficient_routes
+
+            def routes(*args):
+                direct, series, gaps = real(*args)
+                return direct, series, gaps[:2] + (fault(gaps[2]),) + gaps[3:]
+
+            monkeypatch.setattr(cli, "_coefficient_routes", routes)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("fault,shown", [(_drift, "e-06 is not"), (_poison, "nan is not")],
+                             ids=["drift", "nan"])
+    @pytest.mark.parametrize("oracle", ["closed-form", "coefficient-map"])
+    def test_breach_exits_3(self, capsys, monkeypatch, tmp_path, oracle, fault, shown, fmt):
+        self.plant(monkeypatch, oracle, fault)
+        target = tmp_path / f"report.{fmt}"
+        code, out, err = run(capsys, "report", "--starts", "1", "--budget", "0",
+                             "--format", fmt, "--out", str(target))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {oracle} oracle: max delta ") and err.count("\n") == 1
+        assert f"{shown} within its tolerance" in err
+        assert not target.exists()
 
 
 class TestPlumbing:
@@ -441,7 +511,10 @@ class TestPlumbing:
                      {"campaigns": {"best_value", "evaluations_used", "objective", "reference",
                                     "refine_budget", "restarts", "seed", "within_reference",
                                     "witness"},
-                      "membership": _DEFECT, "bound_chains": _CHAIN}, id="report"),
+                      "membership": _DEFECT, "bound_chains": _CHAIN,
+                      "closed_form_oracle": {"max_delta", "seed", "tolerance", "windows"},
+                      "coefficient_map_oracle": {"max_delta", "points", "seed", "tolerance"}},
+                     id="report"),
     ])
     def test_document_shapes(self, argv, inputs, rows):
         # the rows are built from the library's result objects, so a field
@@ -451,7 +524,8 @@ class TestPlumbing:
         assert tuple(doc["inputs"]) == inputs
         results = json.loads(cli.render_json(doc))["results"]
         for section, keys in rows.items():
-            assert set(results[section][0] if section else results) == keys, section
+            row = results[section] if section else results  # a list section by its first row
+            assert set(row[0] if isinstance(row, list) else row) == keys, section
         if argv[0] == "search":
             assert set(results["best_point"]) == {"a2", "c1", "c2", "c3"}
             pairs = results["per_restart"]  # the catalog witnesses' chains, then 2 restarts

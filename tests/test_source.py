@@ -158,6 +158,30 @@ def test_cli_compares_no_coefficient_routes_itself():
     assert names["_coefficient_routes"] == "class_u"
 
 
+def test_cli_writes_no_determinant_formula():
+    # the closed-form oracle takes the closed forms and the matrix layout
+    # (DeterminantId._cells, _det_entries) from functionals, as the map
+    # oracle takes _coefficient_routes from class_u: cli.py holds no
+    # difference of products (a2 * a4 - a3 * a3, e0 * e3 - e1 * e2) and
+    # no index table of its own
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = _imported_names(tree)
+    assert names["closed_form_function"] == names["_det_entries"] == "functionals"
+    assert "_cells" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"operator", "itemgetter", "_CLOSED_FORMS"} & set(names)
+
+    def product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        and product(node.left) and product(node.right)
+    ]
+    assert found == []
+
+
 def test_public_names_are_sorted_unique_and_resolve():
     # a name left in __all__ after its definition is deleted first fails at
     # `from coefflab import *`
