@@ -45,6 +45,12 @@ oracles from streams of their own seeds.  _point and _rows convert between a
 point and its complex row [a2, c1, c2, c3], the form the sampler and search
 use.  These conditions are necessary, not sufficient, so the region relaxes
 the true class: suprema over it are upper evidence, never membership proofs.
+
+Membership evidence comes from membership_max_defect, which samples the
+defect on circles in one array pass: three evaluator calls per check, on the
+whole grid of samples and on its two shifts by the difference step.  So an
+evaluator is elementwise on numpy complex arrays; the catalog's and the
+non-member specimen's each have one form that serves scalars and arrays.
 """
 
 from __future__ import annotations
@@ -434,7 +440,7 @@ def _koebe(z: complex) -> complex:
 def _omega_slow_growth(z: complex) -> complex:
     # Antiderivative of (alpha + t) / (1 + alpha t) from 0 to z, alpha = 1/sqrt(2).
     # The principal log is safe: Re(1 + alpha z) > 0 whenever |z| < sqrt(2).
-    return _SQRT2 * z - cmath.log(1.0 + _ALPHA * z)
+    return _SQRT2 * z - np.log(1.0 + _ALPHA * z)
 
 
 def _f4(z: complex) -> complex:
@@ -446,7 +452,7 @@ class CatalogEntry:
     """A named reference function with its window and parameters."""
 
     name: str
-    evaluator: Callable[[complex], complex]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     window: CoefficientWindow
     param: UParamPoint
 
@@ -495,7 +501,7 @@ def _non_member_specimen(z: complex) -> complex:
     return z + 2.0 * z * z * z
 
 
-def named_evaluator(name: str) -> Callable[[complex], complex]:
+def named_evaluator(name: str) -> Callable[[np.ndarray], np.ndarray]:
     """Catalog evaluators plus the documented non-member specimen 'z+2z3'."""
     if name == "z+2z3":
         return _non_member_specimen
@@ -511,8 +517,15 @@ class DefectReport:
     argmax: complex
 
 
+def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the angles 2 pi k / n, k < n, from libm (math.cos and
+    math.sin: np.cos may differ in the last bit)."""
+    theta = (2.0 * math.pi * np.arange(n) / n).tolist()
+    return np.fromiter(map(math.cos, theta), float, n), np.fromiter(map(math.sin, theta), float, n)
+
+
 def membership_max_defect(
-    evaluator: Callable[[complex], complex],
+    evaluator: Callable[[np.ndarray], np.ndarray],
     radii: Iterable[float],
     samples_per_circle: int = DEFAULT_SAMPLES,
 ) -> DefectReport:
@@ -526,6 +539,13 @@ def membership_max_defect(
     evidence only; a value above 1 at any sample is a concrete
     non-membership witness.
 
+    One array pass: the samples form a complex grid of shape
+    (len(radii), samples_per_circle), one row per circle, and evaluator is
+    called exactly three times, on the grid z and on z + h and z - h, so it
+    must be elementwise on numpy complex arrays (as every catalog evaluator
+    and the specimen are).  The arithmetic is numpy's, which may round the
+    last bits differently from Python's complex scalars.
+
     The argmax is the first sample in grid order (radius order, then k)
     whose defect ties the maximum to ARGMAX_TIE_TOL, so it does not move
     with the rounding of a flat defect.
@@ -533,8 +553,10 @@ def membership_max_defect(
     Raises ValueError if a radius lies outside (0, 1) or is so small that its
     step underflows to 0, if samples_per_circle is not an integer >= 8 or if
     more than MEMBERSHIP_SAMPLE_CAP samples are asked for in total, and
-    EvaluationFailure if f fails or vanishes at a sample or the defect is
-    non-finite there.
+    EvaluationFailure if the evaluator raises ZeroDivisionError,
+    OverflowError or ValueError, or if the defect is non-finite at a sample
+    (f vanishes there, or a pole sits on the grid), naming the first such
+    sample in grid order.
     """
     radii = tuple(radii)
     if not radii:
@@ -551,30 +573,30 @@ def membership_max_defect(
             f"{MEMBERSHIP_SAMPLE_CAP} samples"
         )
 
-    points: list[complex] = []
-    defects: list[float] = []
-    tau = 2.0 * math.pi
-    # the unit circle at each angle, taken once and shared by every radius
-    theta = [tau * k / samples_per_circle for k in range(samples_per_circle)]
-    cos, sin = list(map(math.cos, theta)), list(map(math.sin, theta))
-    for r in radii:
-        h = FD_STEP_SCALE * r
-        two_h = 2.0 * h
-        for c, s in zip(cos, sin):
-            z = complex(r * c, r * s)
-            try:
-                g = z / evaluator(z)
-                gp = (z + h) / evaluator(z + h)
-                gm = (z - h) / evaluator(z - h)
-            except (ZeroDivisionError, OverflowError, ValueError) as exc:
-                # f vanishes, or a pole or log branch point sits on the grid
-                raise EvaluationFailure(f"evaluator failed near z = {z}: {exc}") from exc
-            defect = abs(g - z * (gp - gm) / two_h - 1.0)
-            if not math.isfinite(defect):
-                raise EvaluationFailure(f"non-finite defect at z = {z}")
-            points.append(z)
-            defects.append(defect)
-    best = max(defects)
+    rr = np.array(radii, float)[:, None]
+    h = FD_STEP_SCALE * rr
+    # one row per circle, each a multiple of one unit circle
+    cos, sin = _unit_circle(samples_per_circle)
+    z = np.empty((len(radii), samples_per_circle), complex)
+    z.real, z.imag = rr * cos, rr * sin
+    with np.errstate(all="ignore"):
+        try:
+            d = z / evaluator(z)  # g, then the defect g - z g' - 1 in place
+            dg = (z + h) / evaluator(z + h)
+            dg -= (z - h) / evaluator(z - h)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise EvaluationFailure(
+                f"evaluator failed on the circles of radii {radii}: {exc}") from exc
+        dg *= z
+        dg /= 2.0 * h  # z g'
+        d -= dg
+        d -= 1.0
+        defects = np.abs(d).ravel()
+    finite = np.isfinite(defects)
+    if not finite.all():
+        # f vanishes, or a pole or log branch point sits on the grid
+        raise EvaluationFailure(f"non-finite defect at z = {complex(z.flat[np.argmin(finite)])}")
+    best = float(defects.max())
     floor = best - ARGMAX_TIE_TOL * max(1.0, best)
-    where = next(z for z, defect in zip(points, defects) if defect >= floor)
+    where = complex(z.flat[np.argmax(defects >= floor)])
     return DefectReport(max_defect=best, argmax=where)

@@ -445,6 +445,9 @@ def _report_map_oracle() -> dict:
 
 
 def cmd_report(args) -> dict:
+    # the oracles first: a breached tolerance exits 3 before any campaign runs
+    oracles = {"closed_form_oracle": _report_closed_form_oracle(),
+               "coefficient_map_oracle": _report_map_oracle()}
     sharp = [_eval_row(name, DeterminantId.parse(det), catalog(name).window)
              for name, det in _SHARP_ROWS]
     for row in sharp:
@@ -465,8 +468,7 @@ def cmd_report(args) -> dict:
     results = {
         "sharp_values": sharp,
         "bound_chains": chains,
-        "closed_form_oracle": _report_closed_form_oracle(),
-        "coefficient_map_oracle": _report_map_oracle(),
+        **oracles,
         "campaigns": campaign_rows,
         "membership": membership,
     }

@@ -35,6 +35,17 @@ from coefflab.class_u import (
 SQRT2 = math.sqrt(2.0)
 F1_POINT = UParamPoint(2j, SchwarzParams(1, 0, 0))
 
+#: Each named evaluator once more in Python complex scalars, with cmath's log.
+SCALAR_EVALUATORS = {
+    "identity": lambda z: z,
+    "f1": lambda z: z / (1.0 - 1j * z) ** 2,
+    "f2": lambda z: z / (1.0 - z * z),
+    "f3": lambda z: z / (1.0 - 1j * z * z),
+    "f4": lambda z: z / (1.0 - z * (SQRT2 * z - cmath.log(1.0 + z / SQRT2))),
+    "koebe": lambda z: z / (1.0 - z) ** 2,
+    "z+2z3": lambda z: z + 2.0 * z * z * z,
+}
+
 
 def _shrink(c, radius):
     """Radial shrink of complex c onto |c| <= radius; returns (c, |c| after)."""
@@ -430,19 +441,22 @@ class TestReferenceArithmetic:
             lead = TruncatedSeries((1.0, -pt.a2, -p.c1, -p.c2, -p.c3, 0.0, 0.0))
             assert u_coefficients(pt, 7).a == series_reciprocal(lead).coeffs
 
-    @pytest.mark.parametrize("name", ["f1", "f4", "koebe", "z+2z3"])
+    @pytest.mark.parametrize("name", [*CATALOG_NAMES, "z+2z3"])
     def test_membership_is_the_per_radius_loop(self, name):
+        # each sample on its own as a length-1 array, so the arithmetic is
+        # numpy's, as in the one pass over the grid; at r = 1 - 1e-6 the
+        # shifted sample z + h comes within 1e-12 of f2's and koebe's pole
         f = named_evaluator(name)
-        radii, samples = (0.3, 0.5, 0.7, 0.9, 0.999), 96
+        radii, samples = (0.3, 0.5, 0.7, 0.9, 0.999, 1 - 1e-6), 96
         points, defects = [], []
         for r in radii:
             h = class_u.FD_STEP_SCALE * r
             for k in range(samples):
                 theta = 2.0 * math.pi * k / samples
-                z = complex(r * math.cos(theta), r * math.sin(theta))
+                z = np.array([complex(r * math.cos(theta), r * math.sin(theta))])
                 g, gp, gm = z / f(z), (z + h) / f(z + h), (z - h) / f(z - h)
-                points.append(z)
-                defects.append(abs(g - z * (gp - gm) / (2.0 * h) - 1.0))
+                points.append(complex(z[0]))
+                defects.append(float(abs(g - z * (gp - gm) / (2.0 * h) - 1.0)[0]))
         best = max(defects)
         floor = best - class_u.ARGMAX_TIE_TOL * max(1.0, best)
         argmax = next(z for z, d in zip(points, defects) if d >= floor)
@@ -480,6 +494,17 @@ class TestCatalog:
             entry = catalog(name)
             w = u_coefficients(entry.param, 5)
             assert w.a == pytest.approx(entry.window.a), name
+
+    @pytest.mark.parametrize("name", [*CATALOG_NAMES, "z+2z3"])
+    def test_evaluator_on_an_array_matches_the_scalar_reference(self, name):
+        # membership calls each evaluator on arrays: elementwise, it must
+        # agree with the cmath scalar form at points with |z| <= 0.999
+        rng = np.random.default_rng(2718)
+        z = 0.999 * np.sqrt(rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+        got = named_evaluator(name)(z)
+        want = np.array([SCALAR_EVALUATORS[name](w) for w in z.tolist()])
+        assert got.shape == z.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_evaluator_matches_window_by_fft(self, name):
@@ -577,6 +602,16 @@ class TestMembership:
         with pytest.raises(ValueError, match="cap"):
             membership_max_defect(catalog("f1").evaluator, (0.5, 0.6), 17)
 
+    def test_three_evaluator_calls_on_the_whole_grid(self):
+        shapes = []
+
+        def counted(z):
+            shapes.append((type(z), z.dtype, z.shape))
+            return catalog("f4").evaluator(z)
+
+        membership_max_defect(counted, (0.3, 0.6, 0.9), 40)
+        assert shapes == [(np.ndarray, np.complex128, (3, 40))] * 3
+
     def test_non_finite_evaluator(self):
         with pytest.raises(EvaluationFailure):
             membership_max_defect(lambda z: complex("nan"), (0.5,), 16)
@@ -586,3 +621,17 @@ class TestMembership:
         evil = lambda z: z / (z - 0.5)
         with pytest.raises(EvaluationFailure):
             membership_max_defect(evil, (0.5,), 16)
+
+    def test_first_non_finite_sample_in_grid_order_is_named(self):
+        # f vanishes at the first samples of the last two circles, z = 0.7
+        # and z = 0.5; the error names 0.5, which comes first in grid order
+        zero = lambda z: (z - 0.7) * (z - 0.5)
+        with pytest.raises(EvaluationFailure, match=r"non-finite defect at z = \(0\.5\+0j\)"):
+            membership_max_defect(zero, (0.3, 0.5, 0.7), 16)
+
+    def test_an_evaluator_error_is_an_evaluation_failure(self):
+        def refuse(z):
+            raise ValueError("no value here")
+
+        with pytest.raises(EvaluationFailure, match="radii \\(0.5,\\): no value here"):
+            membership_max_defect(refuse, (0.5,), 16)

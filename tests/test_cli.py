@@ -418,10 +418,13 @@ class TestReportOracles:
     @pytest.mark.parametrize("oracle", ["closed-form", "coefficient-map"])
     def test_breach_exits_3(self, capsys, monkeypatch, tmp_path, oracle, fault, shown, fmt):
         self.plant(monkeypatch, oracle, fault)
+        # the oracles run first, so a breach fails before any campaign work
+        ran = []
+        monkeypatch.setattr(cli, "campaigns", lambda jobs: ran.append(jobs) or [])
         target = tmp_path / f"report.{fmt}"
         code, out, err = run(capsys, "report", "--starts", "1", "--budget", "0",
                              "--format", fmt, "--out", str(target))
-        assert (code, out) == (3, "")
+        assert (code, out, ran) == (3, "", [])
         assert err.startswith(f"error: {oracle} oracle: max delta ") and err.count("\n") == 1
         assert f"{shown} within its tolerance" in err
         assert not target.exists()
