@@ -379,30 +379,27 @@ def region_violation(point: UParamPoint, a2_mode: str) -> str | None:
 
 def _coefficient_routes(a2: complex, c1: complex, c2: complex, c3: complex,
                         m: int) -> tuple[tuple, tuple, tuple]:
-    """a1..am two ways: the polynomial map's a1..a5 (the first m of them), the
-    series reciprocal of z/f = 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4 (cut or
-    zero-padded to order m-1), f/z = a1 + a2 z + ...; and |map - series| at
-    each shared ak.  Elementwise: a2..c3 may be complex scalars or arrays of
-    one shape, and each entry from a2 on has their shape (a1 stays scalar).
-    Nothing is checked finite here; the callers check what they read.
+    """a1..am, m <= 5, two ways: the polynomial map's, the series reciprocal
+    of z/f = 1 - a2 z - c1 z^2 - c2 z^3 - c3 z^4 cut to order m-1,
+    f/z = a1 + a2 z + ...; and |map - series| at each ak.  Elementwise:
+    a2..c3 may be complex scalars or arrays of one shape, and each entry from
+    a2 on has their shape (a1 stays scalar).  Nothing is checked finite here;
+    the callers check what they read.
     """
-    lead = (1 + 0j, -a2, -c1, -c2, -c3)
-    series = _reciprocal(lead[:m] if m <= 5 else lead + (0j,) * (m - 5))
+    series = _reciprocal((1 + 0j, -a2, -c1, -c2, -c3)[:m])
     direct = (1.0, a2, *coefficient_quintet(a2, c1, c2, c3))[:m]
     return direct, series, tuple(map(abs, map(operator.sub, direct, series)))
 
 
 def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
-    """Window (a1..am) for a parameter point.
-
-    The polynomial map and the series-inversion route (_coefficient_routes)
-    must agree to MAP_AGREEMENT_TOL on a1..a5, else CrossCheckFailed is
-    raised, naming the first ak that disagrees (a NaN gap disagrees); for
-    m <= 5 the polynomial values are returned, for larger m the series
-    route's.  A series that overflows raises ValueError, and m that is not
-    an integer >= 1 raises ValueError.
+    """Window (a1..am), 1 <= m <= 5, of a parameter point, which fixes a1..a5
+    and nothing beyond (a6 needs c4): the polynomial map's values, which the
+    series-inversion route (_coefficient_routes) cross-checks.  The routes
+    must agree to MAP_AGREEMENT_TOL at each ak, else CrossCheckFailed names
+    the first ak that disagrees (a NaN gap disagrees).  A series that
+    overflows raises ValueError, and so does m that is not an integer in [1, 5].
     """
-    m = _integer("m", m, 1)
+    m = _integer("m", m, 1, 6)
     p = pt.schwarz
     direct, series, gaps = _coefficient_routes(pt.a2, p.c1, p.c2, p.c3, m)
     _require_finite(series)
@@ -410,7 +407,7 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
         k = next(k for k, gap in enumerate(gaps) if not gap <= MAP_AGREEMENT_TOL)
         raise CrossCheckFailed(
             f"coefficient routes disagree at a{k + 1}: {direct[k]} vs {series[k]}")
-    return CoefficientWindow(direct if m <= 5 else series)
+    return CoefficientWindow(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -517,13 +514,6 @@ class DefectReport:
     argmax: complex
 
 
-def _unit_circle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the angles 2 pi k / n, k < n, from libm (math.cos and
-    math.sin: np.cos may differ in the last bit)."""
-    theta = (2.0 * math.pi * np.arange(n) / n).tolist()
-    return np.fromiter(map(math.cos, theta), float, n), np.fromiter(map(math.sin, theta), float, n)
-
-
 def membership_max_defect(
     evaluator: Callable[[np.ndarray], np.ndarray],
     radii: Iterable[float],
@@ -543,8 +533,9 @@ def membership_max_defect(
     (len(radii), samples_per_circle), one row per circle, and evaluator is
     called exactly three times, on the grid z and on z + h and z - h, so it
     must be elementwise on numpy complex arrays (as every catalog evaluator
-    and the specimen are).  The arithmetic is numpy's, which may round the
-    last bits differently from Python's complex scalars.
+    and the specimen are).  The grid takes numpy's cos and sin, as the
+    sampler does; the arithmetic is numpy's, which may round the last bits
+    differently from Python's complex scalars.
 
     The argmax is the first sample in grid order (radius order, then k)
     whose defect ties the maximum to ARGMAX_TIE_TOL, so it does not move
@@ -576,9 +567,9 @@ def membership_max_defect(
     rr = np.array(radii, float)[:, None]
     h = FD_STEP_SCALE * rr
     # one row per circle, each a multiple of one unit circle
-    cos, sin = _unit_circle(samples_per_circle)
+    theta = 2.0 * math.pi * np.arange(samples_per_circle) / samples_per_circle
     z = np.empty((len(radii), samples_per_circle), complex)
-    z.real, z.imag = rr * cos, rr * sin
+    z.real, z.imag = rr * np.cos(theta), rr * np.sin(theta)
     with np.errstate(all="ignore"):
         try:
             d = z / evaluator(z)  # g, then the defect g - z g' - 1 in place

@@ -21,8 +21,8 @@ each input the same way, a dict as key=value items joined with ';'.
 Identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 argument or parse errors (non-finite literals,
-membership requests over the sample cap and an --out path that cannot be
-written included), 3 runtime evaluation
+membership requests over the sample cap, determinant orders over the order
+cap and an --out path that cannot be written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
 cross-check); either prints one line, error: and the message, on stderr.

@@ -82,6 +82,9 @@ def _integer(name: str, value, least: int, below: float = math.inf) -> int:
     return n
 
 
+#: Largest order q that det_value lays out: q^2 entries, so an absurd q takes gigabytes.
+_DET_ORDER_CAP = 100
+
 _DET_ID_RE = re.compile(r"^([TH])(\d+),(\d+)$")
 
 
@@ -183,10 +186,13 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     """Determinant by direct evaluation of the matrix det._cells lays out.
 
     Cofactor expansion for q <= 3 keeps small cases exact and dependency-free;
-    q >= 4 goes through LU with partial pivoting (numpy).
+    q >= 4 goes through LU with partial pivoting (numpy), and a q above
+    _DET_ORDER_CAP raises ValueError once the window is long enough.
     """
     if len(w.a) < det.min_window:
         raise _too_short(w, det)
+    if det.q > _DET_ORDER_CAP:
+        raise ValueError(f"{det} has order {det.q}, above the cap of {_DET_ORDER_CAP}")
     return _det_entries(det._cells(w.a), det.q)
 
 

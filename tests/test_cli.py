@@ -11,6 +11,7 @@ import pytest
 
 import coefflab.class_u as class_u
 import coefflab.cli as cli
+import coefflab.functionals as functionals
 import coefflab.search as search
 from coefflab.bound_calculus import THEOREM_IDS
 from coefflab.class_u import EvaluationFailure
@@ -144,6 +145,20 @@ class TestEval:
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    def test_exit_2_at_once_on_an_order_over_the_cap(self, capsys):
+        # a window long enough for T(cap + 1, 1) passes the window check; the
+        # order cap refuses it before any of its q^2 entries is laid out
+        q = functionals._DET_ORDER_CAP + 1
+        coeffs = ",".join(["1"] + ["0.5"] * (q - 1))
+        tracemalloc.start()
+        try:
+            got = run(capsys, "eval", "--coeffs", coeffs, "--det", f"T{q},1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (2, "", f"error: T{q},1 has order {q}, above the cap of {q - 1}\n")
+        assert peak < 1_000_000
 
     def test_exit_2_on_missing_required(self, capsys):
         assert run(capsys, "eval", "--det", "T2,2")[0] == 2

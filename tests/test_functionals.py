@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import coefflab.functionals as functionals
 from coefflab.functionals import (
     SUPPORTED_CLOSED_FORM_IDS,
     CoefficientWindow,
@@ -333,6 +334,18 @@ class TestNoWorkGrowsWithQ:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    @pytest.mark.parametrize("kind", "TH")
+    def test_order_over_the_cap_is_a_value_error(self, kind):
+        # at the cap the identity window's matrix is the identity; one order
+        # more raises ValueError (exit 2), not WindowTooShort (exit 3)
+        cap = functionals._DET_ORDER_CAP
+        at, over = DeterminantId(kind, cap, 1), DeterminantId(kind, cap + 1, 1)
+        if kind == "T":
+            assert det_value(CoefficientWindow((1,) + (0,) * (cap - 1)), at) == 1
+        with pytest.raises(ValueError, match=f"above the cap of {cap}") as e:
+            det_value(CoefficientWindow((1,) * over.min_window), over)
+        assert type(e.value) is ValueError
 
     @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
     def test_supported_ids_check_the_window(self, det):

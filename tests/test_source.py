@@ -107,6 +107,26 @@ def test_every_uniform_comes_from_the_streams():
     assert _calling(ast.parse((PACKAGE / "class_u.py").read_text()), "integers") == {"sample_point"}
 
 
+def test_every_circle_point_takes_numpy_cos_and_sin():
+    # membership's grid and the sampler's discs take numpy's cos and sin,
+    # which the tests pin against libm's bit for bit: no module reaches
+    # math.cos or math.sin (called or mapped) or builds an array with
+    # np.fromiter, a second route to the same points
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (node.attr == "fromiter"
+                 or node.attr in ("cos", "sin") and getattr(node.value, "id", None) == "math")
+        ]
+        found += [f"{path.name}: {name}" for name, module in _imported_names(tree).items()
+                  if (module, name) in (("math", "cos"), ("math", "sin")) or name == "fromiter"]
+    assert found == []
+
+
 def test_search_builds_no_generator():
     # campaign draws its starts from class_u's SplitMix64 streams: no
     # Generator, SeedSequence or bit generator in search.py at all
