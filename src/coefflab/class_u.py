@@ -573,8 +573,10 @@ def membership_max_defect(
     with np.errstate(all="ignore"):
         try:
             d = z / evaluator(z)  # g, then the defect g - z g' - 1 in place
-            dg = (z + h) / evaluator(z + h)
-            dg -= (z - h) / evaluator(z - h)
+            w = z + h  # each shift built once, as numerator and argument
+            dg = w / evaluator(w)
+            np.subtract(z, h, out=w)  # z + h's buffer, reused for z - h
+            dg -= w / evaluator(w)
         except (ZeroDivisionError, OverflowError, ValueError) as exc:
             raise EvaluationFailure(
                 f"evaluator failed on the circles of radii {radii}: {exc}") from exc

@@ -592,14 +592,39 @@ class TestMembership:
             membership_max_defect(catalog("f1").evaluator, (0.5, 0.6), 17)
 
     def test_three_evaluator_calls_on_the_whole_grid(self):
-        shapes = []
+        shapes, grids = [], []
 
         def counted(z):
             shapes.append((type(z), z.dtype, z.shape))
+            grids.append(z.copy())  # z - h may be written into z + h's buffer
             return catalog("f4").evaluator(z)
 
-        membership_max_defect(counted, (0.3, 0.6, 0.9), 40)
+        radii = (0.3, 0.6, 0.9)
+        membership_max_defect(counted, radii, 40)
         assert shapes == [(np.ndarray, np.complex128, (3, 40))] * 3
+        z, h = grids[0], class_u.FD_STEP_SCALE * np.array(radii)[:, None]
+        assert grids[1].tobytes() == (z + h).tobytes()
+        assert grids[2].tobytes() == (z - h).tobytes()
+
+    #: The exact defects |(z/f)^2 f' - 1| of two evaluators.
+    EXACT_DEFECTS = {
+        # -z^2 w'(z), with f4's w' the disc automorphism (a + z)/(1 + a z), a = 1/sqrt2
+        "f4": lambda z: np.abs(z * z * (1 / SQRT2 + z) / (1 + z / SQRT2)),
+        # (1 + 6 z^2)/(1 + 2 z^2)^2 - 1 for f = z + 2 z^3: 3 at z = 0.5i
+        "z+2z3": lambda z: np.abs((1 + 6 * z * z) / (1 + 2 * z * z) ** 2 - 1),
+    }
+
+    @pytest.mark.parametrize("name, r, samples", [
+        *(("f4", r, n) for n in (8, 16, 64) for r in (0.99, 0.999, 1 - 1e-4, 1 - 1e-5, 1 - 1e-6)),
+        ("z+2z3", 0.5, 8),
+    ])
+    def test_verdict_is_the_exact_grid_maximum(self, name, r, samples):
+        # few samples on circles near the boundary, or near the poles of z/f,
+        # where a spectral derivative of z/f aliases and reads the wrong side
+        # of 1; the difference quotient's verdict is the exact one
+        exact = self.EXACT_DEFECTS[name](self.libm_circle(r, samples, range(samples))).max()
+        rep = membership_max_defect(named_evaluator(name), (r,), samples)
+        assert (rep.max_defect < 1) == (exact < 1)
 
     @staticmethod
     def grid(radii, samples):

@@ -5,8 +5,11 @@ import re
 from pathlib import Path
 
 import coefflab
+from coefflab.cli import ORACLE_MAP_SEED, ORACLE_WINDOW_SEED
+from coefflab.search import DOCUMENTED_SEEDS
 
 PACKAGE = Path(coefflab.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_statements():
@@ -212,5 +215,19 @@ def test_public_names_are_sorted_unique_and_resolve():
 
 def test_version_matches_pyproject():
     # both are bumped by hand each release; Python 3.10 has no tomllib
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     assert re.findall(r'(?m)^version = "([^"]+)"$', text) == [coefflab.__version__]
+
+
+def test_readme_holds_no_changelog_and_names_every_seed():
+    # CHANGES.md is the one home of the release history.  The README states
+    # the present, report's seeds included: a table row per documented
+    # campaign, and the two oracle seeds that cli says are documented there
+    text = (ROOT / "README.md").read_text()
+    assert not re.search(r"^#+ *Changes in", text, re.MULTILINE)
+    rows = []
+    for label, seed in DOCUMENTED_SEEDS.items():
+        det, mode = label.split("|")
+        rows.append(rf"^\| `{det}` {'a2=0' if mode == 'zero' else mode} +\| {seed} +\|")
+    assert [row for row in rows if not re.search(row, text, re.MULTILINE)] == []
+    assert [s for s in (ORACLE_WINDOW_SEED, ORACLE_MAP_SEED) if not re.search(rf"\b{s}\b", text)] == []
