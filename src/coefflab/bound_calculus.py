@@ -92,9 +92,10 @@ class BoundChain:
     """A recomputed bound next to its published statement.
 
     ``steps`` spells out the factors over ledger ids; ``computed_value`` is
-    their arithmetic value; ``stated_value`` is the published number.  When
-    the statement's determinant label differs from what its derivation
-    actually bounds, ``note`` says so.
+    their arithmetic value; ``stated_value`` is the published number;
+    ``delta`` is their distance, and ``match`` says it is within the
+    statement's tolerance.  When the statement's determinant label differs
+    from what its derivation actually bounds, ``note`` says so.
     """
 
     theorem_id: str
@@ -107,11 +108,8 @@ class BoundChain:
     stated_text: str
     truncated: bool
     match: bool
+    delta: float
     note: str = ""
-
-    @property
-    def delta(self) -> float:
-        return abs(self.computed_value - self.stated_value)
 
 
 def _max_quadratic(a: float, b: float, c: float, lo: float, hi: float) -> float:
@@ -267,6 +265,7 @@ def theorem_chain(
     num, _, den = stated_text.removesuffix("...").partition("/")
     stated = float(num) / float(den) if den else float(num)
     tol = TRUNCATED_TOL if truncated else EXACT_TOL
+    delta = abs(value - stated)
     return BoundChain(
         theorem_id=theorem_id,
         function_class=klass,
@@ -277,7 +276,8 @@ def theorem_chain(
         stated_value=stated,
         stated_text=stated_text,
         truncated=truncated,
-        match=abs(value - stated) <= tol,
+        match=delta <= tol,
+        delta=delta,
         note=note,
     )
 

@@ -25,7 +25,9 @@ membership requests over the sample cap, determinant orders over the order
 cap and an --out path that cannot be written included), 3 runtime evaluation
 failures (window too short, an evaluator that fails or vanishes on the
 sampling grid, a non-finite defect or result, a failed numerical
-cross-check); either prints one line, error: and the message, on stderr.
+cross-check).  A refusal of the library prints one line on stderr, error:
+and the message; a refusal of argparse (an unknown option, a value of the
+wrong type) prints its usage lines first and then its own error: line.
 report's two oracles draw from class_u's streams of uniforms and each runs
 as one array pass over its ORACLE_COUNT draws.  The map oracle's points are
 class_u's sampler rows for streams (ORACLE_MAP_SEED, i), the starts a free
@@ -313,10 +315,6 @@ def cmd_eval(args) -> dict:
     return document("eval", inputs, results, [])
 
 
-def _chain_payload(ch) -> dict:
-    return dict(vars(ch), delta=ch.delta)
-
-
 def _chain_flags(chains) -> list[str]:
     flags = []
     for ch in chains:
@@ -332,7 +330,7 @@ def _chain_flags(chains) -> list[str]:
 
 def cmd_bounds(args) -> dict:
     ids = THEOREM_IDS if args.all else (args.theorem,)
-    chains = [_chain_payload(theorem_chain(tid)) for tid in ids]
+    chains = [vars(theorem_chain(tid)) for tid in ids]
     mismatch_ids = [ch["theorem_id"] for ch in chains if not ch["match"]]
     results = {
         "chains": chains,
@@ -452,11 +450,10 @@ def cmd_report(args) -> dict:
              for name, det in _SHARP_ROWS]
     for row in sharp:
         del row["closed_form"]  # the report shows the closed form only by its delta
-    chains = [_chain_payload(theorem_chain(tid)) for tid in THEOREM_IDS]
+    chains = [vars(theorem_chain(tid)) for tid in THEOREM_IDS]
     flags = _chain_flags(chains)
     jobs = [(Objective(DeterminantId.parse(label.split("|")[0]), label.split("|")[1]),
-             SearchConfig(seed=seed, restarts=args.starts, refine_budget=args.budget))
-            for label, seed in DOCUMENTED_SEEDS.items()]
+             SearchConfig(seed=seed)) for label, seed in DOCUMENTED_SEEDS.items()]
     campaign_rows = []
     for label, job, result in zip(DOCUMENTED_SEEDS, jobs, campaigns(jobs)):  # one pool for all
         row, within, row_flags = _campaign_row(*job, result)
@@ -472,7 +469,7 @@ def cmd_report(args) -> dict:
         "campaigns": campaign_rows,
         "membership": membership,
     }
-    inputs = {"all": True, "starts": args.starts, "budget": args.budget,
+    inputs = {"all": True, "starts": SearchConfig.restarts, "budget": SearchConfig.refine_budget,
               "campaign_seeds": dict(DOCUMENTED_SEEDS),
               "oracle_seeds": {"windows": ORACLE_WINDOW_SEED, "map": ORACLE_MAP_SEED}}
     return document("report", inputs, results, flags)
@@ -531,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="run the full verification sweep")
     p.add_argument("--all", action="store_true", help="accepted for symmetry; the report is always complete")
-    p.add_argument("--starts", type=int, default=SearchConfig.restarts)
-    p.add_argument("--budget", type=int, default=SearchConfig.refine_budget)
     p.set_defaults(handler=cmd_report)
 
     return parser

@@ -1,9 +1,9 @@
 """Seeded multi-start maximization of determinant moduli over the parameter
 region of class_u (the Schwarz-parameter inequalities and the class
 coefficient caps).  Everything found here is relaxation evidence, not a
-membership proof.  The region, its sampler (sample_point, re-exported here
-with A2_MODES, and the rejection loop _sample_rows, which draws a campaign's
-starts) and its predicate (region_violation) live in class_u.
+membership proof.  The region, its sampler (sample_point, re-exported here,
+and the rejection loop _sample_rows, which draws a campaign's starts) and
+its predicate (region_violation) live in class_u.
 
 A search point is held as its complex row [a2, c1, c2, c3]; class_u's
 _point and _rows convert between a row and a UParamPoint.  Each restart is
@@ -69,7 +69,6 @@ import numpy as np
 
 from .bound_calculus import THEOREM_IDS, constant, theorem_chain
 from .class_u import (
-    A2_MODES,
     CrossCheckFailed,
     UParamPoint,
     _check_a2_mode,

@@ -4,6 +4,7 @@ import csv
 import inspect
 import io
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -337,15 +338,21 @@ class TestMembership:
         assert out.splitlines()[0].startswith("function,radii,samples,max_defect")
 
 
+@pytest.fixture(scope="module")
+def report_docs():
+    """The one report the cli runs, built once for the module and rendered
+    in each format; "doc" is the document before rendering."""
+    args = cli.build_parser().parse_args(["report", "--all"])
+    doc = args.handler(args)
+    return {"doc": doc, "json": cli.render_json(doc), "csv": cli.render_csv(doc),
+            "text": cli.render_text(doc)}
+
+
 class TestReport:
-    def test_small_report_is_deterministic_and_complete(self, capsys):
-        argv = ("report", "--all", "--starts", "1", "--budget", "0")
-        code, first, _ = run(capsys, *argv)
-        assert code == 0
-        code, second, _ = run(capsys, *argv)
-        assert first == second
-        doc = json.loads(first)
-        r = doc["results"]
+    def test_report_is_deterministic_and_complete(self, capsys, report_docs):
+        code, out, _ = run(capsys, "report", "--all")
+        assert (code, out) == (0, report_docs["json"])
+        r = json.loads(out)["results"]
         assert set(r) == {
             "sharp_values", "bound_chains", "closed_form_oracle",
             "coefficient_map_oracle", "campaigns", "membership",
@@ -363,17 +370,22 @@ class TestReport:
         assert verdicts["z+2z3"] == "non-member-witness"
         assert all(v == "evidence-member" for f, v in verdicts.items() if f != "z+2z3")
 
-    def test_exit_2_over_cap_before_any_campaign(self, capsys):
-        code, out, err = run(capsys, "report", "--starts", "10001", "--budget", "1000")
-        assert (code, out) == (2, "")
-        assert "cap" in err
+    def test_runs_the_documented_configuration(self, report_docs):
+        # each campaign row and the inputs carry SearchConfig's defaults
+        doc = json.loads(report_docs["json"])
+        defaults = (search.SearchConfig.restarts, search.SearchConfig.refine_budget)
+        assert (doc["inputs"]["starts"], doc["inputs"]["budget"]) == defaults == (200, 20000)
+        rows = doc["results"]["campaigns"]
+        assert [row["objective"] for row in rows] == list(search.DOCUMENTED_SEEDS)
+        assert {(row["restarts"], row["refine_budget"]) for row in rows} == {defaults}
 
-    def test_report_csv_sections(self, capsys):
-        code, out, _ = run(
-            capsys, "report", "--starts", "1", "--budget", "0", "--format", "csv",
-        )
-        assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))
+    @pytest.mark.parametrize("flag,value", [("--starts", "1"), ("--budget", "0")])
+    def test_exit_2_on_search_flags(self, capsys, flag, value):
+        code, out, _ = run(capsys, "report", flag, value)
+        assert (code, out) == (2, "")
+
+    def test_report_csv_sections(self, report_docs):
+        rows = list(csv.reader(io.StringIO(report_docs["csv"])))
         assert rows[0] == ["section", "item", "value", "detail"]
         sections = {row[0] for row in rows[1:]}
         assert sections == {
@@ -437,8 +449,7 @@ class TestReportOracles:
         ran = []
         monkeypatch.setattr(cli, "campaigns", lambda jobs: ran.append(jobs) or [])
         target = tmp_path / f"report.{fmt}"
-        code, out, err = run(capsys, "report", "--starts", "1", "--budget", "0",
-                             "--format", fmt, "--out", str(target))
+        code, out, err = run(capsys, "report", "--format", fmt, "--out", str(target))
         assert (code, out, ran) == (3, "", [])
         assert err.startswith(f"error: {oracle} oracle: max delta ") and err.count("\n") == 1
         assert f"{shown} within its tolerance" in err
@@ -463,6 +474,23 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,by_argparse", [
+        pytest.param(("search", "--objective", "T2,2", "--seed", "abc"), True, id="argparse-type"),
+        pytest.param(("report", "--starts", "1"), True, id="argparse-unknown"),
+        pytest.param(("search", "--objective", "T2,2", "--seed", "-1"), False, id="library"),
+    ])
+    def test_refusals_print_as_the_docstring_says(self, capsys, argv, by_argparse):
+        # a refusal of the library is one line, error: and the message;
+        # argparse prints its usage lines, then its own error: line
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        if by_argparse:
+            assert len(lines) > 1 and lines[0].startswith("usage: coefflab")
+            assert re.fullmatch(r"coefflab( search)?: error: .+", lines[-1]), lines[-1]
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: seed must be")
 
     @pytest.mark.parametrize("argv,message", [
         pytest.param(("eval", "--function", "nope", "--det", "T2,2"),
@@ -494,14 +522,17 @@ class TestPlumbing:
                      lambda r: 1, id="search"),
         pytest.param(("membership", "--function", "f1", "--radius", "0.5"), lambda r: 1,
                      id="membership"),
-        pytest.param(("report", "--starts", "1", "--budget", "0"),
+        pytest.param(("report", "--all"),
                      lambda r: sum(len(r[k]) for k in ("sharp_values", "bound_chains",
                                                        "campaigns", "membership")) + 2,
                      id="report"),  # + 2: the two oracle rows
     ])
-    def test_format_contract(self, capsys, argv, json_rows):
+    def test_format_contract(self, capsys, request, argv, json_rows):
         # csv and text render the same table; csv has one row per JSON result row
-        docs = {fmt: run(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "csv", "text")}
+        if argv[0] == "report":
+            docs = request.getfixturevalue("report_docs")
+        else:
+            docs = {fmt: run(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "csv", "text")}
         rows = list(csv.reader(io.StringIO(docs["csv"])))
         text_header = docs["text"].splitlines()[2].split()
         assert text_header == rows[0]
@@ -524,7 +555,7 @@ class TestPlumbing:
         pytest.param(("membership", "--function", "f1", "--radius", "0.5"),
                      ("function", "radius", "samples"), {None: _DEFECT | {"samples"}},
                      id="membership"),
-        pytest.param(("report", "--starts", "1", "--budget", "0"),
+        pytest.param(("report", "--all"),
                      ("all", "starts", "budget", "campaign_seeds", "oracle_seeds"),
                      {"campaigns": {"best_value", "evaluations_used", "objective", "reference",
                                     "refine_budget", "restarts", "seed", "within_reference",
@@ -534,11 +565,14 @@ class TestPlumbing:
                       "coefficient_map_oracle": {"max_delta", "points", "seed", "tolerance"}},
                      id="report"),
     ])
-    def test_document_shapes(self, argv, inputs, rows):
+    def test_document_shapes(self, request, argv, inputs, rows):
         # the rows are built from the library's result objects, so a field
         # renamed or added there shows here; text prints inputs in their order
-        args = cli.build_parser().parse_args(argv)
-        doc = args.handler(args)
+        if argv[0] == "report":
+            doc = request.getfixturevalue("report_docs")["doc"]
+        else:
+            args = cli.build_parser().parse_args(argv)
+            doc = args.handler(args)
         assert tuple(doc["inputs"]) == inputs
         results = json.loads(cli.render_json(doc))["results"]
         for section, keys in rows.items():

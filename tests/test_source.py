@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -151,8 +152,8 @@ def _imported_names(tree: ast.AST) -> dict[str, str]:
 
 
 #: Names a module imports only to re-export them, as its docstring says:
-#: search re-exports class_u's sampler and a2 modes.
-_RE_EXPORTS = {"search.py": {"sample_point", "A2_MODES"}}
+#: search re-exports class_u's sampler.
+_RE_EXPORTS = {"search.py": {"sample_point"}}
 
 
 def test_every_imported_name_is_used():
@@ -172,6 +173,31 @@ def test_every_imported_name_is_used():
     assert stranded == []
     assert stale == []
     assert _RE_EXPORTS.keys() <= {path.name for path in PACKAGE.glob("*.py")}
+
+
+#: The package modules whose names bench/ reads.
+_BENCH_MODULES = ("class_u", "cli", "functionals", "search", "series")
+
+
+def test_names_bench_reads_resolve():
+    # bench/ calls into the package by name, and a name deleted or renamed
+    # here breaks every benchmark run; so each <module>.<attr> it reads on a
+    # package module must resolve.  bench/ is parsed, not imported.  The
+    # tracer's PATCHES are strings it looks up itself, skipping a missing one
+    reads = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {a.asname or a.name: a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "coefflab"
+                 for a in node.names if a.name in _BENCH_MODULES}
+        reads |= {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound}
+    assert {("class_u", "project_feasible"), ("cli", "campaign"), ("cli", "DEFAULT_SAMPLES"),
+            ("search", "catalog_witness")} <= reads
+    missing = [f"{module}.{attr}" for module, attr in sorted(reads)
+               if not hasattr(importlib.import_module(f"coefflab.{module}"), attr)]
+    assert missing == []
 
 
 def test_cli_compares_no_coefficient_routes_itself():
