@@ -48,7 +48,8 @@ the true class: suprema over it are upper evidence, never membership proofs.
 
 Membership evidence comes from membership_max_defect, which samples the
 defect on circles in one array pass: three evaluator calls per check, on the
-whole grid of samples and on its two shifts by the difference step.  So an
+whole grid of samples and on its two shifts by the difference step.  Its
+DefectReport carries the verdict, decided here and nowhere else.  So an
 evaluator is elementwise on numpy complex arrays; the catalog's and the
 non-member specimen's each have one form that serves scalars and arrays.
 """
@@ -507,11 +508,13 @@ def named_evaluator(name: str) -> Callable[[np.ndarray], np.ndarray]:
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Largest sampled defect |(z/f)^2 f'(z) - 1| and the first sample, in
-    grid order, that ties it to ARGMAX_TIE_TOL."""
+    """Largest sampled defect |(z/f)^2 f'(z) - 1|, the first sample, in grid
+    order, that ties it to ARGMAX_TIE_TOL, and the verdict membership_max_defect
+    reads from them, "evidence-member" or "non-member-witness"."""
 
     max_defect: float
     argmax: complex
+    verdict: str
 
 
 def membership_max_defect(
@@ -525,9 +528,12 @@ def membership_max_defect(
     (z/f)^2 f' - 1 = g - z g' - 1, with g' from a central difference of g at
     step FD_STEP_SCALE * r along the real direction (direction is irrelevant
     for an analytic g).  g stays finite where f has a pole, so the step may
-    reach past one.  A value below 1 everywhere is numerical membership
-    evidence only; a value above 1 at any sample is a concrete
-    non-membership witness.
+    reach past one.  The verdict is the one rule of the package: a largest
+    defect below 1 is "evidence-member", numerical membership evidence only;
+    one at or above 1 is "non-member-witness", a concrete witness at argmax.
+    The defect does not see a pole of f inside the circle (g = z/f has a
+    zero there, not a singularity), so z/(1 - 2z) on the circle of radius 0.9
+    reads a largest defect of about 6e-10 and "evidence-member".
 
     One array pass: the samples form a complex grid of shape
     (len(radii), samples_per_circle), one row per circle, and evaluator is
@@ -592,4 +598,5 @@ def membership_max_defect(
     best = float(defects.max())
     floor = best - ARGMAX_TIE_TOL * max(1.0, best)
     where = complex(z.flat[np.argmax(defects >= floor)])
-    return DefectReport(max_defect=best, argmax=where)
+    verdict = "evidence-member" if best < 1.0 else "non-member-witness"
+    return DefectReport(max_defect=best, argmax=where, verdict=verdict)

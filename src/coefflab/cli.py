@@ -13,7 +13,8 @@ tool_version, command, inputs, results, flags_of_concern.  JSON is the
 canonical format (complex numbers as [re, im] pairs, keys sorted).  Each
 result row is built from the library object it renders, vars() of a
 BoundChain, DefectReport, SearchConfig, SearchResult or SchwarzParams, so a
-new field of one reaches the JSON with no edit here.  csv and text are
+new field of one reaches the JSON with no edit here; a membership verdict is
+DefectReport's own field, so no verdict rule lives here.  csv and text are
 flattened renderings of the same payload whose columns are chosen in
 _COLUMNS: nested keys joined with '_' (reference.id is reference_id) and
 lists and tuples joined with ';'.  The text header's inputs line renders
@@ -386,8 +387,7 @@ def cmd_search(args) -> dict:
 
 def _membership_row(name: str, radii: tuple[float, ...], samples: int) -> dict:
     rep = membership_max_defect(named_evaluator(name), radii, samples)
-    verdict = "evidence-member" if rep.max_defect < 1.0 else "non-member-witness"
-    return dict(vars(rep), function=name, radii=radii, verdict=verdict)
+    return dict(vars(rep), function=name, radii=radii)
 
 
 def cmd_membership(args) -> dict:

@@ -44,8 +44,8 @@ class UnsupportedId(KeyError):
 class CoefficientWindow:
     """Leading Taylor coefficients ``a1..am`` of a normalized function.
 
-    Normalization means ``a1 == 1`` exactly; construction enforces it and
-    rejects non-finite entries.
+    ``a[k - 1]`` is ``a_k``.  Normalization means ``a1 == 1`` exactly;
+    construction enforces it and rejects non-finite entries.
     """
 
     a: tuple[complex, ...]
@@ -59,14 +59,6 @@ class CoefficientWindow:
         if not all(map(cmath.isfinite, coeffs)):
             raise ValueError(f"window entries must be finite, got {coeffs}")
         object.__setattr__(self, "a", coeffs)
-
-    @property
-    def m(self) -> int:
-        return len(self.a)
-
-    def coeff(self, k: int) -> complex:
-        """1-based accessor: coeff(1) is a1."""
-        return self.a[k - 1]
 
 
 def _integer(name: str, value, least: int, below: float = math.inf) -> int:
@@ -164,7 +156,7 @@ SUPPORTED_CLOSED_FORM_IDS: tuple[DeterminantId, ...] = tuple(_CLOSED_FORMS)
 def _too_short(w: CoefficientWindow, det: DeterminantId) -> WindowTooShort:
     """The error for a window shorter than det.min_window; both routes compare
     len(w.a) with it inline and raise this."""
-    return WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {w.m}")
+    return WindowTooShort(f"{det} needs a window of length >= {det.min_window}, got {len(w.a)}")
 
 
 def _det_entries(e, q: int) -> complex:

@@ -25,7 +25,7 @@ class ZeroConstantTerm(ValueError):
 class TruncatedSeries:
     """Coefficients ``c0..cN`` of ``sum c_k z^k``, truncated at order ``N``.
 
-    The tuple always holds exactly ``order + 1`` entries, all finite.
+    The tuple holds the ``N + 1`` entries, all finite; ``s[k]`` is ``c_k``.
     """
 
     coeffs: tuple[complex, ...]
@@ -36,10 +36,6 @@ class TruncatedSeries:
             raise ValueError("a truncated series needs at least its constant term")
         _require_finite(coeffs)
         object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     def __getitem__(self, k: int) -> complex:
         return self.coeffs[k]

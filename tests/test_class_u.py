@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import coefflab.class_u as class_u
 from coefflab.class_u import (
     CATALOG_NAMES,
     CrossCheckFailed,
+    DefectReport,
     EvaluationFailure,
     SchwarzParams,
     UnknownName,
@@ -467,10 +469,10 @@ class TestCatalog:
     def test_slow_growth_window(self):
         # a5 follows from its own expansion: c3 + c1^2 = 1/2 - 1/(6 sqrt2)
         w = catalog("f4").window
-        assert w.coeff(2) == 0
-        assert w.coeff(3) == pytest.approx(1 / SQRT2)
-        assert w.coeff(4) == pytest.approx(0.25)
-        assert w.coeff(5) == pytest.approx(0.5 - 1 / (6 * SQRT2))
+        assert w.a[2 - 1] == 0
+        assert w.a[3 - 1] == pytest.approx(1 / SQRT2)
+        assert w.a[4 - 1] == pytest.approx(0.25)
+        assert w.a[5 - 1] == pytest.approx(0.5 - 1 / (6 * SQRT2))
 
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
@@ -506,7 +508,7 @@ class TestCatalog:
         hat = np.fft.fft(vals) / k
         for n in range(1, 6):
             an = hat[n] / r**n
-            assert abs(an - entry.window.coeff(n)) <= 1e-9, (name, n)
+            assert abs(an - entry.window.a[n - 1]) <= 1e-9, (name, n)
 
 
 def test_slow_growth_kernel_against_quadrature():
@@ -551,6 +553,24 @@ class TestMembership:
         rep = membership_max_defect(catalog("f2").evaluator, (0.9, 0.99))
         assert rep.argmax == 0.99 + 0j
         assert rep.max_defect == pytest.approx(0.9801, rel=1e-8)
+
+    def test_verdict_is_read_from_the_largest_defect(self):
+        member = membership_max_defect(catalog("f1").evaluator, (0.9,))
+        witness = membership_max_defect(named_evaluator("z+2z3"), (0.7,))
+        assert [f.name for f in fields(DefectReport)] == ["max_defect", "argmax", "verdict"]
+        assert (member.max_defect < 1, member.verdict) == (True, "evidence-member")
+        assert (witness.max_defect < 1, witness.verdict) == (False, "non-member-witness")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the defect does not see a pole of f inside the circle, "
+                              "where z/f is analytic")
+    @pytest.mark.parametrize("b, r", [(2.0, 0.9), (1.4, 0.99)])
+    def test_pole_inside_the_circle_is_a_non_member(self, b, r):
+        # f = z/(1 - bz) has a pole at 1/b inside the circle, so it is no
+        # member; but z/f = 1 - bz has defect 0, and the sampled one reads
+        # 6.17e-10 (b = 2) and 7.85e-10 (b = 1.4)
+        rep = membership_max_defect(lambda z: z / (1 - b * z), (r,), 256)
+        assert rep.verdict == "non-member-witness"
 
     def test_specimen_flagged_with_witness(self):
         rep = membership_max_defect(named_evaluator("z+2z3"), (0.7,), 256)
@@ -625,6 +645,7 @@ class TestMembership:
         exact = self.EXACT_DEFECTS[name](self.libm_circle(r, samples, range(samples))).max()
         rep = membership_max_defect(named_evaluator(name), (r,), samples)
         assert (rep.max_defect < 1) == (exact < 1)
+        assert rep.verdict == ("evidence-member" if exact < 1 else "non-member-witness")
 
     @staticmethod
     def grid(radii, samples):

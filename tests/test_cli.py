@@ -338,16 +338,6 @@ class TestMembership:
         assert out.splitlines()[0].startswith("function,radii,samples,max_defect")
 
 
-@pytest.fixture(scope="module")
-def report_docs():
-    """The one report the cli runs, built once for the module and rendered
-    in each format; "doc" is the document before rendering."""
-    args = cli.build_parser().parse_args(["report", "--all"])
-    doc = args.handler(args)
-    return {"doc": doc, "json": cli.render_json(doc), "csv": cli.render_csv(doc),
-            "text": cli.render_text(doc)}
-
-
 class TestReport:
     def test_report_is_deterministic_and_complete(self, capsys, report_docs):
         code, out, _ = run(capsys, "report", "--all")

@@ -44,10 +44,10 @@ class TestWindow:
         with pytest.raises(ValueError, match="finite"):
             CoefficientWindow((1, 2j, entry, 0, 0))
 
-    def test_one_based_accessor(self):
-        assert F1.coeff(1) == 1
-        assert F1.coeff(4) == -4j
-        assert F1.m == 5
+    def test_window_holds_a1_to_am_in_order(self):
+        assert F1.a[1 - 1] == 1
+        assert F1.a[4 - 1] == -4j
+        assert len(F1.a) == 5
 
 
 class TestDeterminantId:
@@ -245,13 +245,13 @@ REFERENCE_FORMS = {
 
 
 def reference_det(w: CoefficientWindow, det: DeterminantId) -> complex:
-    """The docstring's matrix, filled through w.coeff: expanded along its
+    """The docstring's matrix, a_k filled in as w.a[k - 1]: expanded along its
     first row for q <= 3, through numpy's LU for larger q."""
     q, n = det.q, det.n
     if det.kind == "T":
-        m = [[w.coeff(n + abs(i - j)) for j in range(q)] for i in range(q)]
+        m = [[w.a[n + abs(i - j) - 1] for j in range(q)] for i in range(q)]
     else:
-        m = [[w.coeff(n + i + j) for j in range(q)] for i in range(q)]
+        m = [[w.a[n + i + j - 1] for j in range(q)] for i in range(q)]
     if q > 3:
         return complex(np.linalg.det(np.array(m, dtype=complex)))
     if q == 1:
@@ -285,7 +285,7 @@ class TestReferenceArithmetic:
         ref = REFERENCE_FORMS[str(det)]
         for w in self.WINDOWS[:20]:
             short = CoefficientWindow(w.a[:det.min_window])
-            padded = short.a + (0j,) * (5 - short.m)
+            padded = short.a + (0j,) * (5 - len(short.a))
             assert closed_form(short, det) == ref(*padded[1:5])
 
     @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS + tuple(SMALL_IDS), ids=str)

@@ -270,7 +270,7 @@ class TestSampler:
                 assert schwarz_feasible(pt.schwarz).feasible
                 assert abs(pt.a2) <= 2.0 + 1e-12 and (mode == "free" or pt.a2 == 0)
                 w = u_coefficients(pt, 5)
-                top = np.maximum(top, [abs(w.coeff(k)) for k in (3, 4, 5)])
+                top = np.maximum(top, [abs(w.a[k - 1]) for k in (3, 4, 5)])
             assert (top <= np.array([3.0, 4.0, 5.0]) + 1e-9).all(), (mode, top)
 
 
@@ -486,15 +486,12 @@ class TestCampaign:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
-    def test_documented_values_hold(self):
+    def test_documented_values_hold(self, documented_campaigns):
         # the six documented campaigns reach the sharp values to 1e-9
         sharp = {"T2,2|free": 13, "T2,3|free": 25, "T3,1|free": 24, "T3,2|free": 84,
                  "T3,2|zero": 0.25, "T3,3|free": 208}
-        assert sharp.keys() == DOCUMENTED_SEEDS.keys()
-        for label, seed in DOCUMENTED_SEEDS.items():
-            det_text, mode = label.split("|")
-            res = campaign(Objective(DeterminantId.parse(det_text), mode),
-                           SearchConfig(seed=seed))
+        assert list(sharp) == list(documented_campaigns) == list(DOCUMENTED_SEEDS)
+        for label, (_, res) in documented_campaigns.items():
             assert abs(res.best_value - sharp[label]) <= 1e-9, label
 
     def test_documented_seed_labels_parse(self):
@@ -736,17 +733,13 @@ class TestCampaigns:
         monkeypatch.setattr(search, "_BLOCK", 256)
         assert [by_field(r) for r in campaigns(jobs)] == default
 
-    def test_report_rows_equal_standalone_campaigns(self, capsys):
-        from coefflab.cli import _campaign_row, main
+    def test_report_rows_equal_standalone_campaigns(self, report_docs, documented_campaigns):
+        from coefflab.cli import _campaign_row
 
-        assert main(["report", "--all"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = json.loads(report_docs["json"])
         rows = {row.pop("objective"): row for row in doc["results"]["campaigns"]}
-        assert list(rows) == list(DOCUMENTED_SEEDS)
-        for label, seed in DOCUMENTED_SEEDS.items():
-            det, mode = label.split("|")
-            job = (Objective(DeterminantId.parse(det), mode),
-                   SearchConfig(seed=seed))
-            row, within, _ = _campaign_row(*job, campaign(*job))
+        assert list(rows) == list(documented_campaigns) == list(DOCUMENTED_SEEDS)
+        for label, (job, result) in documented_campaigns.items():
+            row, within, _ = _campaign_row(*job, result)
             assert rows[label].pop("within_reference") is within
             assert json.loads(json.dumps(row)) == rows[label], label

@@ -231,6 +231,24 @@ def test_cli_writes_no_determinant_formula():
     assert found == []
 
 
+def test_cli_holds_no_verdict_rule():
+    # a membership verdict is DefectReport's own field, set by class_u's one
+    # rule; no comparison in cli.py reads max_defect, as an attribute, a
+    # dict key or a name, to decide one again
+    def reads_max_defect(node):
+        return (getattr(node, "attr", None) == "max_defect"
+                or getattr(node, "id", None) == "max_defect"
+                or isinstance(node, ast.Constant) and node.value == "max_defect")
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(map(reads_max_defect, ast.walk(node)))
+    ]
+    assert found == []
+
+
 def test_public_names_are_sorted_unique_and_resolve():
     # a name left in __all__ after its definition is deleted first fails at
     # `from coefflab import *`
