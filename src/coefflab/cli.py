@@ -11,10 +11,14 @@
 Every command emits one document with the same top-level shape:
 tool_version, command, inputs, results, flags_of_concern.  JSON is the
 canonical format (complex numbers as [re, im] pairs, keys sorted).  Each
-result row is built from the library object it renders, vars() of a
-BoundChain, DefectReport, SearchConfig, SearchResult or SchwarzParams, so a
-new field of one reaches the JSON with no edit here; a membership verdict is
-DefectReport's own field, so no verdict rule lives here.  csv and text are
+result row is built from the library objects it renders: a chain row is
+vars() of a BoundChain, a membership row of a DefectReport, and a search
+result holds vars() of its SearchConfig and SearchResult (the best point as
+a2 and its SchwarzParams), so a new field of one of these reaches the JSON
+with no edit here.  A report campaign row holds its SearchConfig's fields
+and, of the SearchResult, only best_value and evaluations_used.  No verdict
+or flag rule lives here: a membership verdict is DefectReport's own field,
+and search.judge and search.chain_flags decide every flag.  csv and text are
 flattened renderings of the same payload whose columns are chosen in
 _COLUMNS: nested keys joined with '_' (reference.id is reference_id) and
 lists and tuples joined with ';'.  The text header's inputs line renders
@@ -93,12 +97,9 @@ from .search import (
     SearchConfig,
     campaign,
     campaigns,
-    catalog_witness,
-    objective_reference,
+    chain_flags,
+    judge,
 )
-
-#: Tolerance for "campaign stayed at or under its reference bound".
-REFERENCE_SLACK = 1e-6
 
 #: Default radii for membership sampling.
 DEFAULT_RADII = (0.9, 0.99)
@@ -316,57 +317,26 @@ def cmd_eval(args) -> dict:
     return document("eval", inputs, results, [])
 
 
-def _chain_flags(chains) -> list[str]:
-    flags = []
-    for ch in chains:
-        if not ch["match"]:
-            flags.append(
-                f"{ch['theorem_id']}: recomputed {_fmt(ch['computed_value'])} "
-                f"vs stated {ch['stated_text']} (delta {_fmt(ch['delta'])})"
-            )
-        if ch["note"]:
-            flags.append(f"{ch['theorem_id']}: {ch['note']}")
-    return flags
-
-
 def cmd_bounds(args) -> dict:
     ids = THEOREM_IDS if args.all else (args.theorem,)
-    chains = [vars(theorem_chain(tid)) for tid in ids]
-    mismatch_ids = [ch["theorem_id"] for ch in chains if not ch["match"]]
+    chains = [theorem_chain(tid) for tid in ids]
+    mismatch_ids = [ch.theorem_id for ch in chains if not ch.match]
     results = {
-        "chains": chains,
+        "chains": [vars(ch) for ch in chains],
         "summary": {"total": len(chains), "matches": len(chains) - len(mismatch_ids),
                     "mismatch_ids": mismatch_ids},
     }
     inputs = {"theorem": args.theorem, "all": args.all}
-    return document("bounds", inputs, results, _chain_flags(chains))
+    return document("bounds", inputs, results, [f for ch in chains for f in chain_flags(ch)])
 
 
 def _campaign_row(objective: Objective, config: SearchConfig,
                   result) -> tuple[dict, bool, list[str]]:
-    """The fields search and report share for one campaign, whether its best
-    stayed within its reference bound, and its flags."""
-    ref_kind, ref_id, ref_value = objective_reference(objective)
-    wit_name, wit_value = catalog_witness(objective)
-    best = result.best_value
-    within = best <= ref_value + REFERENCE_SLACK
-    row = dict(vars(config), best_value=best, evaluations_used=result.evaluations_used,
-               reference={"kind": ref_kind, "id": ref_id, "value": ref_value},
-               witness={"name": wit_name, "value": wit_value})
-    flags = []
-    if not within:
-        flags.append(
-            f"{objective.label}: campaign best {_fmt(best)} exceeds its reference "
-            f"{ref_id} = {_fmt(ref_value)}"
-        )
-    if ref_kind == "chain":
-        ch = theorem_chain(ref_id)
-        if not ch.match and best > ch.stated_value + 1e-9:
-            flags.append(
-                f"{objective.label}: campaign best {_fmt(best)} exceeds the published "
-                f"statement {ch.stated_text} = {_fmt(ch.stated_value)} "
-                f"(recomputed chain allows {_fmt(ch.computed_value)})"
-            )
+    """The fields search and report share for one campaign, with search.judge's
+    within_reference and flags."""
+    reference, witness, within, flags = judge(objective, result)
+    row = dict(vars(config), best_value=result.best_value,
+               evaluations_used=result.evaluations_used, reference=reference, witness=witness)
     return row, within, flags
 
 
@@ -450,8 +420,8 @@ def cmd_report(args) -> dict:
              for name, det in _SHARP_ROWS]
     for row in sharp:
         del row["closed_form"]  # the report shows the closed form only by its delta
-    chains = [vars(theorem_chain(tid)) for tid in THEOREM_IDS]
-    flags = _chain_flags(chains)
+    chains = [theorem_chain(tid) for tid in THEOREM_IDS]
+    flags = [f for ch in chains for f in chain_flags(ch)]
     jobs = [(Objective(DeterminantId.parse(label.split("|")[0]), label.split("|")[1]),
              SearchConfig(seed=seed)) for label, seed in DOCUMENTED_SEEDS.items()]
     campaign_rows = []
@@ -464,7 +434,7 @@ def cmd_report(args) -> dict:
     membership.append(_membership_row("z+2z3", (0.7,), DEFAULT_SAMPLES))
     results = {
         "sharp_values": sharp,
-        "bound_chains": chains,
+        "bound_chains": [vars(ch) for ch in chains],
         **oracles,
         "campaigns": campaign_rows,
         "membership": membership,

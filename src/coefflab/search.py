@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound_calculus import THEOREM_IDS, constant, theorem_chain
+from .bound_calculus import BoundChain, THEOREM_IDS, constant, theorem_chain
 from .class_u import (
     CrossCheckFailed,
     UParamPoint,
@@ -337,8 +337,12 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
 
 # ---------------------------------------------------------------------------
 # Context for reporting: which published bound and which catalog witness
-# corresponds to an objective.
+# corresponds to an objective, and the package's one rule for each flag of
+# concern, which cli renders as given.
 # ---------------------------------------------------------------------------
+
+#: Tolerance for "campaign stayed at or under its reference bound".
+REFERENCE_SLACK = 1e-6
 
 _LEDGER_BY_OBJECTIVE = {
     Objective(DeterminantId("H", 2, 2), "free"): "U.H22",
@@ -348,21 +352,16 @@ _LEDGER_BY_OBJECTIVE = {
 }
 
 
-def objective_reference(objective: Objective) -> tuple[str, str, float]:
-    """(kind, id, value) of the bound this objective is compared against.
-
-    kind is 'chain' (the class-U chain for the same determinant and a2 mode)
-    or 'ledger' (bare constant, for the Hankel objectives, which have no chain).
-    """
-    if (tid := _LEDGER_BY_OBJECTIVE.get(objective)) is not None:
-        return ("ledger", tid, constant(tid).value)
-    det, a2_zero = str(objective.det), objective.a2_mode == "zero"
-    chain = next(
-        ch
-        for ch in map(theorem_chain, THEOREM_IDS)
-        if ch.function_class == "U" and ch.determinant == det and ch.a2_zero == a2_zero
-    )
-    return ("chain", chain.theorem_id, chain.computed_value)
+def chain_flags(chain: BoundChain) -> list[str]:
+    """A bound chain's flags of concern: a recomputation that does not match
+    its statement, and the chain's note."""
+    flags = []
+    if not chain.match:
+        flags.append(f"{chain.theorem_id}: recomputed {chain.computed_value:.12g} "
+                     f"vs stated {chain.stated_text} (delta {chain.delta:.12g})")
+    if chain.note:
+        flags.append(f"{chain.theorem_id}: {chain.note}")
+    return flags
 
 
 def catalog_witness(objective: Objective) -> tuple[str, float]:
@@ -373,3 +372,29 @@ def catalog_witness(objective: Objective) -> tuple[str, float]:
         if val > best_val:
             best_name, best_val = name, val
     return best_name, best_val
+
+
+def judge(objective: Objective, result: SearchResult) -> tuple[dict, dict, bool, list[str]]:
+    """A campaign's reference {kind, id, value}, its catalog witness {name,
+    value}, whether its best is within the reference (up to REFERENCE_SLACK),
+    and its flags: a best above the reference, or above the published
+    statement of a chain that does not match it.  The reference is the U
+    chain for the objective's determinant and a2 mode ('chain'), or a ledger
+    constant for the Hankel objectives, which have no chain ('ledger')."""
+    if (tid := _LEDGER_BY_OBJECTIVE.get(objective)) is not None:
+        chain, reference = None, {"kind": "ledger", "id": tid, "value": constant(tid).value}
+    else:
+        det, a2_zero = str(objective.det), objective.a2_mode == "zero"
+        chain = next(ch for ch in map(theorem_chain, THEOREM_IDS) if ch.function_class == "U"
+                     and ch.determinant == det and ch.a2_zero == a2_zero)
+        reference = {"kind": "chain", "id": chain.theorem_id, "value": chain.computed_value}
+    best, ref_value = result.best_value, reference["value"]
+    within = best <= ref_value + REFERENCE_SLACK
+    flags = [] if within else [f"{objective.label}: campaign best {best:.12g} exceeds its "
+                               f"reference {reference['id']} = {ref_value:.12g}"]
+    if chain is not None and not chain.match and best > chain.stated_value + 1e-9:
+        flags.append(f"{objective.label}: campaign best {best:.12g} exceeds the published "
+                     f"statement {chain.stated_text} = {chain.stated_value:.12g} "
+                     f"(recomputed chain allows {chain.computed_value:.12g})")
+    name, value = catalog_witness(objective)
+    return reference, {"name": name, "value": value}, within, flags

@@ -48,10 +48,13 @@ from coefflab.search import (
     SearchResult,
     campaign,
     campaigns,
+    REFERENCE_SLACK,
     catalog_witness,
-    objective_reference,
+    chain_flags,
+    judge,
     sample_point,
 )
+from coefflab.bound_calculus import constant, theorem_chain
 from test_class_u import EDGE_ROWS
 from test_restart_stream import SplitMix64
 
@@ -343,15 +346,26 @@ class TestWitnesses:
         assert catalog_witness(obj) == ("f3", pytest.approx(2.0))
 
 
+def judged(objective, best_value):
+    """judge's verdict on a constructed result whose best value is best_value."""
+    return judge(objective, SearchResult(best_value, F1_POINT, (), (), 0))
+
+
+def reference(objective):
+    """judge's reference for an objective, which no best value bears on."""
+    return judged(objective, 0.0)[0]
+
+
 class TestReference:
     def test_chain_backed(self):
-        assert objective_reference(T22) == ("chain", "thm1_i", pytest.approx(13.0))
+        assert reference(T22) == {"kind": "chain", "id": "thm1_i", "value": pytest.approx(13.0)}
 
     def test_ledger_backed(self):
         obj = Objective(DeterminantId.parse("H2,3"))
-        assert objective_reference(obj) == ("ledger", "U.H23", pytest.approx(1.4946575))
+        assert reference(obj) == {"kind": "ledger", "id": "U.H23",
+                                  "value": pytest.approx(1.4946575)}
         obj0 = Objective(DeterminantId.parse("H2,3"), "zero")
-        assert objective_reference(obj0) == ("ledger", "U.H23_a2zero", 1.0)
+        assert reference(obj0) == {"kind": "ledger", "id": "U.H23_a2zero", "value": 1.0}
 
     @pytest.mark.parametrize(("label", "kind", "ref_id"), [
         ("T2,2|free", "chain", "thm1_i"),
@@ -371,8 +385,11 @@ class TestReference:
     ])
     def test_every_objective(self, label, kind, ref_id):
         det_text, mode = label.split("|")
-        assert objective_reference(Objective(DeterminantId.parse(det_text), mode))[:2] == (
-            kind, ref_id)
+        ref = reference(Objective(DeterminantId.parse(det_text), mode))
+        assert (ref["kind"], ref["id"]) == (kind, ref_id)
+        # a chain reference is the chain's recomputed value, a ledger one the constant's
+        value = theorem_chain(ref_id).computed_value if kind == "chain" else constant(ref_id).value
+        assert ref["value"] == value
 
     @pytest.mark.parametrize("det", SUPPORTED_CLOSED_FORM_IDS, ids=str)
     @pytest.mark.parametrize("mode", A2_MODES)
@@ -380,7 +397,59 @@ class TestReference:
         # the ledger table is keyed by the objective itself
         parsed = Objective(DeterminantId.parse(str(det)), mode)
         built = Objective(DeterminantId(det.kind, det.q, det.n), mode)
-        assert objective_reference(parsed) == objective_reference(built)
+        assert reference(parsed) == reference(built)
+
+
+class TestJudge:
+    def test_witness_is_catalog_witness(self):
+        obj = Objective(DeterminantId.parse("T3,2"), "zero")
+        assert judged(obj, 0.0)[1] == {"name": "f4", "value": catalog_witness(obj)[1]}
+
+    @pytest.mark.parametrize(("label", "text"), [
+        ("T2,2|free", "campaign best 13.000001 exceeds its reference thm1_i = 13"),
+        ("H2,3|free", "campaign best 1.4946585 exceeds its reference U.H23 = 1.4946575"),
+    ])
+    def test_reference_slack_edge(self, label, text):
+        # a best of exactly reference + REFERENCE_SLACK is within, the next
+        # float above it is not, and only that reads the reference flag
+        det_text, mode = label.split("|")
+        obj = Objective(DeterminantId.parse(det_text), mode)
+        edge = reference(obj)["value"] + REFERENCE_SLACK
+        assert judged(obj, edge)[2:] == (True, [])
+        assert judged(obj, math.nextafter(edge, math.inf))[2:] == (False, [f"{label}: {text}"])
+
+    def test_published_statement_edge(self):
+        # thm2_iv recomputes to 1/4 against its statement 3/16: a best just
+        # above 3/16 + 1e-9 is flagged against the statement, one at it is not
+        obj = Objective(DeterminantId.parse("T3,2"), "zero")
+        edge = 3 / 16 + 1e-9
+        assert judged(obj, edge)[2:] == (True, [])
+        above = math.nextafter(edge, math.inf)
+        assert judged(obj, above)[2:] == (True, [
+            "T3,2|zero: campaign best 0.187500001 exceeds the published statement "
+            "3/16 = 0.1875 (recomputed chain allows 0.25)"])
+
+    def test_a_best_above_both_reads_both_flags(self):
+        obj = Objective(DeterminantId.parse("T3,2"), "zero")
+        assert judged(obj, 0.5)[3] == [
+            "T3,2|zero: campaign best 0.5 exceeds its reference thm2_iv = 0.25",
+            "T3,2|zero: campaign best 0.5 exceeds the published statement 3/16 = 0.1875 "
+            "(recomputed chain allows 0.25)"]
+
+    def test_only_a_mismatched_chain_has_a_statement_flag(self):
+        # thm1_i matches its statement 13, so a best within its reference
+        # reads no flag; thm1_v recomputes to 211.95726 against its statement
+        # 211.8771..., so a best between the two is within and still flagged
+        assert judged(T22, 13.0)[2:] == (True, [])
+        assert judged(T33, 211.9)[2:] == (True, [
+            "T3,3|free: campaign best 211.9 exceeds the published statement "
+            "211.8771... = 211.8771 (recomputed chain allows 211.95726)"])
+
+    def test_chain_flags(self):
+        assert chain_flags(theorem_chain("thm1_i")) == []
+        flags = chain_flags(theorem_chain("thm2_iv"))
+        assert flags[0] == "thm2_iv: recomputed 0.25 vs stated 3/16 (delta 0.0625)"
+        assert flags[1:] == [f"thm2_iv: {theorem_chain('thm2_iv').note}"]
 
 
 class TestCampaign:

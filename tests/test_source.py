@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import coefflab
@@ -247,6 +248,60 @@ def test_cli_holds_no_verdict_rule():
         if isinstance(node, ast.Compare) and any(map(reads_max_defect, ast.walk(node)))
     ]
     assert found == []
+
+
+#: The fields a flag of concern is decided from.
+_FLAG_FIELDS = {"best_value", "stated_value", "computed_value", "match", "note"}
+
+
+def test_cli_holds_no_flag_rule():
+    # every flag of concern is decided in search (chain_flags and judge):
+    # cli.py holds no REFERENCE_SLACK, no flag text, and no comparison or
+    # truth test that reads a flag's field, as an attribute, a name or a
+    # dict key.  The one exception is the bounds summary's mismatch_ids
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+
+    def reads_flag_field(node):
+        return any({getattr(n, "attr", None), getattr(n, "id", None),
+                    n.value if isinstance(n, ast.Constant) else None} & _FLAG_FIELDS
+                   for n in ast.walk(node))
+
+    exempt = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["mismatch_ids"]
+              for n in ast.walk(node)}
+    tests = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            tests.append(node.test)
+        elif isinstance(node, ast.comprehension):
+            tests += node.ifs
+        elif isinstance(node, ast.BoolOp):
+            tests += node.values
+        elif isinstance(node, ast.Compare) or isinstance(getattr(node, "op", None), ast.Not):
+            tests.append(node)
+    found = sorted({f"test at {node.lineno}" for node in tests
+                    if id(node) not in exempt and reads_flag_field(node)})
+    found += [f"REFERENCE_SLACK at {node.lineno}" for node in ast.walk(tree)
+              if "REFERENCE_SLACK" in (getattr(node, "id", None), getattr(node, "name", None))]
+    found += [f"flag text at {node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.JoinedStr) and any(
+                  isinstance(v, ast.Constant) and ("exceeds" in v.value or "recomputed" in v.value)
+                  for v in node.values)]
+    assert found == []
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # pyproject.toml's one runtime dependency is numpy: every absolute import
+    # in the package is of the standard library or of numpy
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, a.name.split(".")[0]) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module.split(".")[0]))
+    assert ("search.py", "numpy") in found
+    assert sorted((f, m) for f, m in found if m not in sys.stdlib_module_names | {"numpy"}) == []
 
 
 def test_public_names_are_sorted_unique_and_resolve():
