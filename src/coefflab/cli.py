@@ -14,16 +14,17 @@ canonical format (complex numbers as [re, im] pairs, keys sorted).  Each
 result row is built from the library objects it renders: a chain row is
 vars() of a BoundChain, a membership row of a DefectReport, and a search
 result holds vars() of its SearchConfig and SearchResult (the best point as
-a2 and its SchwarzParams), so a new field of one of these reaches the JSON
-with no edit here.  A report campaign row holds its SearchConfig's fields
-and, of the SearchResult, only best_value and evaluations_used.  No verdict
-or flag rule lives here: a membership verdict is DefectReport's own field,
-and search.judge and search.chain_flags decide every flag.  csv and text are
-flattened renderings of the same payload whose columns are chosen in
-_COLUMNS: nested keys joined with '_' (reference.id is reference_id) and
-lists and tuples joined with ';'.  The text header's inputs line renders
-each input the same way, a dict as key=value items joined with ';'.
-Identical inputs produce byte-identical output.
+a2 and its SchwarzParams) and search.judge's judged fields (reference,
+witness, within_reference), so a new field of one of these reaches the JSON
+with no edit here.  A report campaign row holds its SearchConfig's fields,
+best_value and evaluations_used, and the judged fields from search.judge.
+No verdict or flag rule lives here: a membership verdict is DefectReport's
+own field, and search.judge and search.chain_flags decide every flag.  csv
+and text are flattened renderings of the same payload whose columns are
+chosen in _COLUMNS: nested keys joined with '_' (reference.id is
+reference_id) and lists and tuples joined with ';'.  The text header's
+inputs line renders each input the same way, a dict as key=value items
+joined with ';'.  Identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 argument or parse errors (non-finite literals,
 membership requests over the sample cap, determinant orders over the order
@@ -330,25 +331,15 @@ def cmd_bounds(args) -> dict:
     return document("bounds", inputs, results, [f for ch in chains for f in chain_flags(ch)])
 
 
-def _campaign_row(objective: Objective, config: SearchConfig,
-                  result) -> tuple[dict, bool, list[str]]:
-    """The fields search and report share for one campaign, with search.judge's
-    within_reference and flags."""
-    reference, witness, within, flags = judge(objective, result)
-    row = dict(vars(config), best_value=result.best_value,
-               evaluations_used=result.evaluations_used, reference=reference, witness=witness)
-    return row, within, flags
-
-
 def cmd_search(args) -> dict:
     objective = Objective(DeterminantId.parse(args.objective),
                           "zero" if args.a2zero else "free")
     config = SearchConfig(seed=args.seed, restarts=args.starts, refine_budget=args.budget)
     result = campaign(objective, config)
-    row, _, flags = _campaign_row(objective, config, result)
+    judged, flags = judge(objective, result)
     p = result.best_point
     # every SearchResult field, the best point lowered to its coordinates
-    results = dict(vars(result), **row, objective=str(objective.det),
+    results = dict(vars(result), **vars(config), **judged, objective=str(objective.det),
                    a2_mode=objective.a2_mode, best_point=dict(a2=p.a2, **vars(p.schwarz)))
     inputs = {"objective": args.objective, "a2zero": args.a2zero, "seed": args.seed,
               "starts": args.starts, "budget": args.budget}
@@ -422,12 +413,14 @@ def cmd_report(args) -> dict:
         del row["closed_form"]  # the report shows the closed form only by its delta
     chains = [theorem_chain(tid) for tid in THEOREM_IDS]
     flags = [f for ch in chains for f in chain_flags(ch)]
-    jobs = [(Objective(DeterminantId.parse(label.split("|")[0]), label.split("|")[1]),
-             SearchConfig(seed=seed)) for label, seed in DOCUMENTED_SEEDS.items()]
+    jobs = [(Objective.parse(label), SearchConfig(seed=seed))
+            for label, seed in DOCUMENTED_SEEDS.items()]
     campaign_rows = []
-    for label, job, result in zip(DOCUMENTED_SEEDS, jobs, campaigns(jobs)):  # one pool for all
-        row, within, row_flags = _campaign_row(*job, result)
-        campaign_rows.append(dict(row, objective=label, within_reference=within))
+    for (objective, config), result in zip(jobs, campaigns(jobs)):  # one pool for all
+        judged, row_flags = judge(objective, result)
+        campaign_rows.append(dict(vars(config), **judged, objective=objective.label,
+                                  best_value=result.best_value,
+                                  evaluations_used=result.evaluations_used))
         flags.extend(row_flags)
     membership = [_membership_row(name, DEFAULT_RADII, DEFAULT_SAMPLES)
                   for name in CATALOG_NAMES]

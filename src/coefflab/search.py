@@ -120,6 +120,13 @@ class Objective:
     def label(self) -> str:
         return f"{self.det}|{self.a2_mode}"
 
+    @classmethod
+    def parse(cls, label: str) -> "Objective":
+        """label's inverse ("T3,2|zero"); a malformed label gets the constructor's
+        refusal: ValueError, or UnsupportedId for an id without a closed form."""
+        det, _, a2_mode = label.partition("|")
+        return cls(DeterminantId.parse(det), a2_mode)
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -323,7 +330,7 @@ def campaigns(jobs) -> list[SearchResult]:
             raise CrossCheckFailed(f"the winner {why}")
         window = u_coefficients(best_pt, 5)
         official = abs(closed_form(window, objective.det))
-        if not abs(official - best_val) <= 1e-12:
+        if not abs(official - best_val) <= WINDOW_ROUTE_TOL:
             raise CrossCheckFailed(f"fast path and window route disagree: {best_val} vs {official}")
         results.append(SearchResult(best_val, best_pt, window.a, tuple(
             zip(range(-len(w), config.restarts), vals.tolist())), total))
@@ -343,13 +350,14 @@ def campaign(objective: Objective, config: SearchConfig) -> SearchResult:
 
 #: Tolerance for "campaign stayed at or under its reference bound".
 REFERENCE_SLACK = 1e-6
+#: Tolerance for "campaign best above a mismatched chain's published statement".
+STATEMENT_SLACK = 1e-9
+#: Tolerance campaigns allows between a winner's value and its window route.
+WINDOW_ROUTE_TOL = 1e-12
 
-_LEDGER_BY_OBJECTIVE = {
-    Objective(DeterminantId("H", 2, 2), "free"): "U.H22",
-    Objective(DeterminantId("H", 2, 2), "zero"): "U.H22",
-    Objective(DeterminantId("H", 2, 3), "free"): "U.H23",
-    Objective(DeterminantId("H", 2, 3), "zero"): "U.H23_a2zero",
-}
+_LEDGER_BY_OBJECTIVE = {Objective.parse(label): tid for label, tid in (
+    ("H2,2|free", "U.H22"), ("H2,2|zero", "U.H22"),
+    ("H2,3|free", "U.H23"), ("H2,3|zero", "U.H23_a2zero"))}
 
 
 def chain_flags(chain: BoundChain) -> list[str]:
@@ -365,22 +373,19 @@ def chain_flags(chain: BoundChain) -> list[str]:
 
 
 def catalog_witness(objective: Objective) -> tuple[str, float]:
-    """Best catalog attainment over the entries campaigns start from."""
-    best_name, best_val = "", -1.0
-    for name, entry in _catalog_entries(objective.a2_mode):
-        val = abs(closed_form(entry.window, objective.det))
-        if val > best_val:
-            best_name, best_val = name, val
-    return best_name, best_val
+    """Best catalog attainment over the entries campaigns start from; the first on a tie."""
+    return max(((name, abs(closed_form(e.window, objective.det)))
+                for name, e in _catalog_entries(objective.a2_mode)), key=lambda nv: nv[1])
 
 
-def judge(objective: Objective, result: SearchResult) -> tuple[dict, dict, bool, list[str]]:
-    """A campaign's reference {kind, id, value}, its catalog witness {name,
-    value}, whether its best is within the reference (up to REFERENCE_SLACK),
-    and its flags: a best above the reference, or above the published
-    statement of a chain that does not match it.  The reference is the U
-    chain for the objective's determinant and a2 mode ('chain'), or a ledger
-    constant for the Hankel objectives, which have no chain ('ledger')."""
+def judge(objective: Objective, result: SearchResult) -> tuple[dict, list[str]]:
+    """A campaign's judged fields, which search and report render as given:
+    reference {kind, id, value}, witness (its catalog witness {name, value})
+    and within_reference (its best within the reference, up to REFERENCE_SLACK);
+    and its flags: a best above the reference, or above the published statement
+    (up to STATEMENT_SLACK) of a chain that does not match it.  The reference
+    is the U chain for the objective's determinant and a2 mode ('chain'), or a
+    ledger constant for the Hankel objectives, which have no chain ('ledger')."""
     if (tid := _LEDGER_BY_OBJECTIVE.get(objective)) is not None:
         chain, reference = None, {"kind": "ledger", "id": tid, "value": constant(tid).value}
     else:
@@ -392,9 +397,10 @@ def judge(objective: Objective, result: SearchResult) -> tuple[dict, dict, bool,
     within = best <= ref_value + REFERENCE_SLACK
     flags = [] if within else [f"{objective.label}: campaign best {best:.12g} exceeds its "
                                f"reference {reference['id']} = {ref_value:.12g}"]
-    if chain is not None and not chain.match and best > chain.stated_value + 1e-9:
+    if chain is not None and not chain.match and best > chain.stated_value + STATEMENT_SLACK:
         flags.append(f"{objective.label}: campaign best {best:.12g} exceeds the published "
                      f"statement {chain.stated_text} = {chain.stated_value:.12g} "
                      f"(recomputed chain allows {chain.computed_value:.12g})")
     name, value = catalog_witness(objective)
-    return reference, {"name": name, "value": value}, within, flags
+    return {"reference": reference, "witness": {"name": name, "value": value},
+            "within_reference": within}, flags

@@ -3,7 +3,6 @@
 import pytest
 
 import coefflab.cli as cli
-from coefflab.functionals import DeterminantId
 from coefflab.search import DOCUMENTED_SEEDS, Objective, SearchConfig, campaign
 
 
@@ -23,7 +22,6 @@ def documented_campaigns():
     shared pool: label -> ((objective, config), result)."""
     runs = {}
     for label, seed in DOCUMENTED_SEEDS.items():
-        det, mode = label.split("|")
-        job = (Objective(DeterminantId.parse(det), mode), SearchConfig(seed=seed))
+        job = (Objective.parse(label), SearchConfig(seed=seed))
         runs[label] = (job, campaign(*job))
     return runs

@@ -218,6 +218,8 @@ class TestSearch:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["best_value"] == pytest.approx(0.25, abs=1e-6)
+        # the best is within its recomputed reference 1/4 and above the statement 3/16
+        assert doc["results"]["within_reference"] is True
         assert any("3/16" in f for f in doc["flags_of_concern"])
 
     def test_rerun_is_byte_identical(self, capsys):
@@ -541,7 +543,8 @@ class TestPlumbing:
                      ("objective", "a2zero", "seed", "starts", "budget"),
                      {None: {"a2_mode", "best_point", "best_value", "best_window",
                              "evaluations_used", "objective", "per_restart", "reference",
-                             "refine_budget", "restarts", "seed", "witness"}}, id="search"),
+                             "refine_budget", "restarts", "seed", "within_reference",
+                             "witness"}}, id="search"),
         pytest.param(("membership", "--function", "f1", "--radius", "0.5"),
                      ("function", "radius", "samples"), {None: _DEFECT | {"samples"}},
                      id="membership"),

@@ -49,6 +49,7 @@ from coefflab.search import (
     campaign,
     campaigns,
     REFERENCE_SLACK,
+    STATEMENT_SLACK,
     catalog_witness,
     chain_flags,
     judge,
@@ -161,6 +162,21 @@ class TestObjective:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             Objective(DeterminantId.parse("T2,2"), "pinned")
+
+    @pytest.mark.parametrize("objective", ALL_OBJECTIVES, ids=lambda o: o.label)
+    def test_parse_inverts_label(self, objective):
+        assert Objective.parse(objective.label) == objective
+
+    @pytest.mark.parametrize("label", ["T2,2", "T2,2|", "T2,2|half", "T2,2|free|zero", "X9|free"])
+    def test_parse_refuses_malformed_labels(self, label):
+        # the constructor's own refusals: an id DeterminantId.parse refuses,
+        # or a mode the region does not have, the rest after a "|" included
+        with pytest.raises(ValueError):
+            Objective.parse(label)
+
+    def test_parse_refuses_an_id_without_a_closed_form(self):
+        with pytest.raises(UnsupportedId):
+            Objective.parse("H3,1|free")
 
 
 class TestConfig:
@@ -347,13 +363,20 @@ class TestWitnesses:
 
 
 def judged(objective, best_value):
-    """judge's verdict on a constructed result whose best value is best_value."""
+    """judge's judged fields and flags on a constructed result whose best
+    value is best_value."""
     return judge(objective, SearchResult(best_value, F1_POINT, (), (), 0))
 
 
 def reference(objective):
     """judge's reference for an objective, which no best value bears on."""
-    return judged(objective, 0.0)[0]
+    return judged(objective, 0.0)[0]["reference"]
+
+
+def verdict(objective, best_value):
+    """judge's within_reference and flags for a best value."""
+    fields, flags = judged(objective, best_value)
+    return fields["within_reference"], flags
 
 
 class TestReference:
@@ -384,8 +407,7 @@ class TestReference:
         ("H2,3|zero", "ledger", "U.H23_a2zero"),
     ])
     def test_every_objective(self, label, kind, ref_id):
-        det_text, mode = label.split("|")
-        ref = reference(Objective(DeterminantId.parse(det_text), mode))
+        ref = reference(Objective.parse(label))
         assert (ref["kind"], ref["id"]) == (kind, ref_id)
         # a chain reference is the chain's recomputed value, a ledger one the constant's
         value = theorem_chain(ref_id).computed_value if kind == "chain" else constant(ref_id).value
@@ -401,9 +423,16 @@ class TestReference:
 
 
 class TestJudge:
+    def test_judged_fields(self):
+        # the fields search and report render as given, and nothing else
+        assert judged(T22, 13.0) == ({
+            "reference": {"kind": "chain", "id": "thm1_i", "value": reference(T22)["value"]},
+            "witness": {"name": "f1", "value": catalog_witness(T22)[1]},
+            "within_reference": True}, [])
+
     def test_witness_is_catalog_witness(self):
         obj = Objective(DeterminantId.parse("T3,2"), "zero")
-        assert judged(obj, 0.0)[1] == {"name": "f4", "value": catalog_witness(obj)[1]}
+        assert judged(obj, 0.0)[0]["witness"] == {"name": "f4", "value": catalog_witness(obj)[1]}
 
     @pytest.mark.parametrize(("label", "text"), [
         ("T2,2|free", "campaign best 13.000001 exceeds its reference thm1_i = 13"),
@@ -412,26 +441,26 @@ class TestJudge:
     def test_reference_slack_edge(self, label, text):
         # a best of exactly reference + REFERENCE_SLACK is within, the next
         # float above it is not, and only that reads the reference flag
-        det_text, mode = label.split("|")
-        obj = Objective(DeterminantId.parse(det_text), mode)
+        obj = Objective.parse(label)
         edge = reference(obj)["value"] + REFERENCE_SLACK
-        assert judged(obj, edge)[2:] == (True, [])
-        assert judged(obj, math.nextafter(edge, math.inf))[2:] == (False, [f"{label}: {text}"])
+        assert verdict(obj, edge) == (True, [])
+        assert verdict(obj, math.nextafter(edge, math.inf)) == (False, [f"{label}: {text}"])
 
     def test_published_statement_edge(self):
         # thm2_iv recomputes to 1/4 against its statement 3/16: a best just
-        # above 3/16 + 1e-9 is flagged against the statement, one at it is not
+        # above 3/16 + STATEMENT_SLACK is flagged against the statement, one
+        # at it is not
         obj = Objective(DeterminantId.parse("T3,2"), "zero")
-        edge = 3 / 16 + 1e-9
-        assert judged(obj, edge)[2:] == (True, [])
+        edge = 3 / 16 + STATEMENT_SLACK
+        assert verdict(obj, edge) == (True, [])
         above = math.nextafter(edge, math.inf)
-        assert judged(obj, above)[2:] == (True, [
+        assert verdict(obj, above) == (True, [
             "T3,2|zero: campaign best 0.187500001 exceeds the published statement "
             "3/16 = 0.1875 (recomputed chain allows 0.25)"])
 
     def test_a_best_above_both_reads_both_flags(self):
         obj = Objective(DeterminantId.parse("T3,2"), "zero")
-        assert judged(obj, 0.5)[3] == [
+        assert judged(obj, 0.5)[1] == [
             "T3,2|zero: campaign best 0.5 exceeds its reference thm2_iv = 0.25",
             "T3,2|zero: campaign best 0.5 exceeds the published statement 3/16 = 0.1875 "
             "(recomputed chain allows 0.25)"]
@@ -440,8 +469,8 @@ class TestJudge:
         # thm1_i matches its statement 13, so a best within its reference
         # reads no flag; thm1_v recomputes to 211.95726 against its statement
         # 211.8771..., so a best between the two is within and still flagged
-        assert judged(T22, 13.0)[2:] == (True, [])
-        assert judged(T33, 211.9)[2:] == (True, [
+        assert verdict(T22, 13.0) == (True, [])
+        assert verdict(T33, 211.9) == (True, [
             "T3,3|free: campaign best 211.9 exceeds the published statement "
             "211.8771... = 211.8771 (recomputed chain allows 211.95726)"])
 
@@ -565,8 +594,7 @@ class TestCampaign:
 
     def test_documented_seed_labels_parse(self):
         for label in DOCUMENTED_SEEDS:
-            det_text, mode = label.split("|")
-            Objective(DeterminantId.parse(det_text), mode)  # must not raise
+            assert Objective.parse(label).label == label
 
 
 class TestLockstepEngine:
@@ -581,8 +609,7 @@ class TestLockstepEngine:
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("label", ["T3,3|free", "T3,2|zero"])
     def test_matches_sequential_oracle(self, label, budget):
-        det, mode = label.split("|")
-        objective = Objective(DeterminantId.parse(det), mode)
+        objective = Objective.parse(label)
         config = SearchConfig(seed=5, restarts=4, refine_budget=budget)
         res = campaign(objective, config)
         runs = [sequential_climb(objective, s, budget)
@@ -614,8 +641,7 @@ class TestLockstepEngine:
             real(z, m)
 
         monkeypatch.setattr(search, "pull_back", counting)
-        det, mode = label.split("|")
-        objective = Objective(DeterminantId.parse(det), mode)
+        objective = Objective.parse(label)
         budget = 5000
         for start in campaign_starts(objective, SearchConfig(seed=5, restarts=4)):
             _, _, evals, accepted, halved = counted_climb(objective, start, budget)
@@ -626,8 +652,7 @@ class TestLockstepEngine:
 
     @pytest.mark.parametrize("label", ["T2,3|free", "T3,1|zero"])
     def test_restart_results_do_not_depend_on_the_batch(self, label):
-        det, mode = label.split("|")
-        objective = Objective(DeterminantId.parse(det), mode)
+        objective = Objective.parse(label)
         small = campaign(objective, SearchConfig(seed=9, restarts=4, refine_budget=800))
         large = campaign(objective, SearchConfig(seed=9, restarts=12, refine_budget=800))
         assert large.per_restart[:len(small.per_restart)] == small.per_restart
@@ -706,11 +731,8 @@ def mixed_jobs(budgets):
 
 def documented_jobs(shift):
     """report's six campaigns, each documented seed shifted by shift."""
-    jobs = []
-    for label, seed in DOCUMENTED_SEEDS.items():
-        det, mode = label.split("|")
-        jobs.append((Objective(DeterminantId.parse(det), mode), SearchConfig(seed=seed + shift)))
-    return jobs
+    return [(Objective.parse(label), SearchConfig(seed=seed + shift))
+            for label, seed in DOCUMENTED_SEEDS.items()]
 
 
 class TestCampaigns:
@@ -803,12 +825,12 @@ class TestCampaigns:
         assert [by_field(r) for r in campaigns(jobs)] == default
 
     def test_report_rows_equal_standalone_campaigns(self, report_docs, documented_campaigns):
-        from coefflab.cli import _campaign_row
-
+        # each report row is its config, best value and evaluations and the
+        # judged fields of the campaign run alone
         doc = json.loads(report_docs["json"])
         rows = {row.pop("objective"): row for row in doc["results"]["campaigns"]}
         assert list(rows) == list(documented_campaigns) == list(DOCUMENTED_SEEDS)
-        for label, (job, result) in documented_campaigns.items():
-            row, within, _ = _campaign_row(*job, result)
-            assert rows[label].pop("within_reference") is within
+        for label, ((objective, config), result) in documented_campaigns.items():
+            row = dict(vars(config), **judge(objective, result)[0], best_value=result.best_value,
+                       evaluations_used=result.evaluations_used)
             assert json.loads(json.dumps(row)) == rows[label], label

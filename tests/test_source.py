@@ -8,7 +8,7 @@ from pathlib import Path
 
 import coefflab
 from coefflab.cli import ORACLE_MAP_SEED, ORACLE_WINDOW_SEED
-from coefflab.search import DOCUMENTED_SEEDS
+from coefflab.search import DOCUMENTED_SEEDS, Objective
 
 PACKAGE = Path(coefflab.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -251,7 +251,8 @@ def test_cli_holds_no_verdict_rule():
 
 
 #: The fields a flag of concern is decided from.
-_FLAG_FIELDS = {"best_value", "stated_value", "computed_value", "match", "note"}
+_FLAG_FIELDS = {"best_value", "stated_value", "computed_value", "match", "note",
+                "within_reference"}
 
 
 def test_cli_holds_no_flag_rule():
@@ -287,6 +288,15 @@ def test_cli_holds_no_flag_rule():
               if isinstance(node, ast.JoinedStr) and any(
                   isinstance(v, ast.Constant) and ("exceeds" in v.value or "recomputed" in v.value)
                   for v in node.values)]
+    assert found == []
+
+
+def test_cli_parses_no_objective_label():
+    # Objective.parse is the one inverse of Objective.label: cli.py holds no
+    # "|" string constant, the separator a label would be split on
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "|"]
     assert found == []
 
 
@@ -326,7 +336,8 @@ def test_readme_holds_no_changelog_and_names_every_seed():
     assert not re.search(r"^#+ *Changes in", text, re.MULTILINE)
     rows = []
     for label, seed in DOCUMENTED_SEEDS.items():
-        det, mode = label.split("|")
-        rows.append(rf"^\| `{det}` {'a2=0' if mode == 'zero' else mode} +\| {seed} +\|")
+        o = Objective.parse(label)
+        mode = "a2=0" if o.a2_mode == "zero" else o.a2_mode
+        rows.append(rf"^\| `{o.det}` {mode} +\| {seed} +\|")
     assert [row for row in rows if not re.search(row, text, re.MULTILINE)] == []
     assert [s for s in (ORACLE_WINDOW_SEED, ORACLE_MAP_SEED) if not re.search(rf"\b{s}\b", text)] == []
