@@ -19,8 +19,8 @@ route, in one pass: it runs series._reciprocal, the forward recursion behind
 series.series_reciprocal, on the tuple of z/f's coefficients, with no
 TruncatedSeries built on the way in or out.  It is elementwise, so it takes
 one point as complex scalars or many as arrays: u_coefficients reads its gaps
-for one point, after checking the series finite, and the report's map oracle
-for its 1000 points in one call.
+for one point, after checking the series finite, and map_oracle for its 1000
+points in one call.
 
 The search region is the point set (a2, c1, c2, c3) with |a2| <= 2 and the
 necessary conditions
@@ -39,12 +39,18 @@ in either a2 mode (_check_a2_mode refuses any other mode for every caller),
 and _region_rows its one sampler, an array transform of uniforms into points.
 One rejection loop feeds it, _sample_rows, and the package has one source of
 uniforms, _uniforms of the streams (seed, k): SplitMix64 from a key hashed
-from (seed, k) (_keys).  A campaign's restart k draws from stream (seed, k),
-sample_point from stream (0, k) for a k its Generator draws, and the report's
-oracles from streams of their own seeds.  _point and _rows convert between a
-point and its complex row [a2, c1, c2, c3], the form the sampler and search
-use.  These conditions are necessary, not sufficient, so the region relaxes
-the true class: suprema over it are upper evidence, never membership proofs.
+from (seed, k) (_keys), and one turn of pairs of them into points on the
+unit disc, _polar (radius sqrt(u), then angle 2 pi u).  A campaign's restart
+k draws from stream (seed, k), sample_point from stream (0, k) for a k its
+Generator draws, and the report's oracles from streams of their own seeds.
+_point and _rows convert between a point and its complex row
+[a2, c1, c2, c3], the form the sampler and search use.  These conditions are
+necessary, not sufficient, so the region relaxes the true class: suprema
+over it are upper evidence, never membership proofs.
+
+The report's two oracles, closed_form_oracle and map_oracle, live here beside
+the streams and routes they read; each is one array pass over ORACLE_COUNT
+draws and raises CrossCheckFailed past its tolerance, a NaN included.
 
 Membership evidence comes from membership_max_defect, which samples the
 defect on circles in one array pass: three evaluator calls per check, on the
@@ -65,7 +71,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bound_calculus import constant
-from .functionals import CoefficientWindow, _integer
+from .functionals import CoefficientWindow, _integer, closed_form_gaps
 from .series import _reciprocal, _require_finite
 
 #: Feasibility inequalities are checked with this additive slack.
@@ -250,20 +256,26 @@ def coefficient_quintet(
     return a3, a4, a5
 
 
+def _polar(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Area-uniform points on the unit disc from uniforms paired along the
+    last axis, as (sqrt(u0), cos 2 pi u1, sin 2 pi u1): the one such turn,
+    which the sampler and the closed-form oracle scale by their radii."""
+    theta = 2.0 * math.pi * u[..., 1::2]
+    return np.sqrt(u[..., 0::2]), np.cos(theta), np.sin(theta)
+
+
 def _region_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampler attempts from uniforms of shape (..., 8), or (..., 6) with
     a2 = 0: region points as complex rows [a2, c1, c2, c3], and whether each
     respects the class coefficient caps.
 
-    The discs are drawn in order, a2, c1, c2, c3, each area-uniform from two
-    uniforms in turn, radius sqrt(u) then angle 2 pi u, on the radius the
-    earlier entries leave open (the c2 and c3 bounds clamped at 0).
+    The discs are drawn in order, a2, c1, c2, c3, each a _polar point
+    scaled by the radius the earlier entries leave open (the c2 and c3
+    bounds clamped at 0).
     """
     x = np.zeros(u.shape[:-1] + (4,), complex)
     first = 4 - u.shape[-1] // 2  # 1 when a2 = 0, whose parts stay +0.0
-    scale = np.sqrt(u[..., 0::2])
-    theta = 2.0 * math.pi * u[..., 1::2]
-    cos, sin = np.cos(theta), np.sin(theta)
+    scale, cos, sin = _polar(u)
 
     def disc(k: int, radius) -> np.ndarray:
         # entry k on its disc; returns the entry's modulus
@@ -409,6 +421,49 @@ def u_coefficients(pt: UParamPoint, m: int = 5) -> CoefficientWindow:
         raise CrossCheckFailed(
             f"coefficient routes disagree at a{k + 1}: {direct[k]} vs {series[k]}")
     return CoefficientWindow(direct)
+
+
+#: Seeds of the report's oracle draws (documented in the README).
+ORACLE_WINDOW_SEED = 1357
+ORACLE_MAP_SEED = 2468
+ORACLE_COUNT = 1000
+
+#: The closed-form oracle's tolerance on |closed form - determinant|.
+_CLOSED_FORM_TOL = 1e-9
+
+
+def _oracle_windows() -> np.ndarray:
+    """The closed-form oracle's windows as five planes a1..a5 of shape
+    (ORACLE_COUNT,): a1 = 1, and a2..a5 of window i _polar points on the disc
+    of radius 5, from the first 8 uniforms of stream (ORACLE_WINDOW_SEED, i)."""
+    scale, cos, sin = _polar(_uniforms(_keys(ORACLE_WINDOW_SEED, np.arange(ORACLE_COUNT)), 0, 8))
+    a = np.ones((5, ORACLE_COUNT), complex)
+    a.real[1:], a.imag[1:] = (5.0 * scale * cos).T, (5.0 * scale * sin).T
+    return a
+
+
+def _oracle(name: str, deltas: list[np.ndarray], tolerance: float, **row) -> dict:
+    """row with the largest of the deltas and the tolerance; CrossCheckFailed
+    unless that delta is within it (np.max keeps a NaN, which is not)."""
+    worst = float(np.max(deltas))
+    if not worst <= tolerance:
+        raise CrossCheckFailed(
+            f"{name} oracle: max delta {worst:.12g} is not within its tolerance {tolerance:.12g}")
+    return dict(row, max_delta=worst, tolerance=tolerance)
+
+
+def closed_form_oracle() -> dict:
+    """The report's closed-form oracle row: closed_form_gaps on the _oracle_windows."""
+    return _oracle("closed-form", closed_form_gaps(_oracle_windows()), _CLOSED_FORM_TOL,
+                   windows=ORACLE_COUNT, seed=ORACLE_WINDOW_SEED)
+
+
+def map_oracle() -> dict:
+    """The report's coefficient-map oracle row: the gaps of _coefficient_routes
+    at the sampler rows of streams (ORACLE_MAP_SEED, i), i < ORACLE_COUNT."""
+    gaps = _coefficient_routes(*_sample_rows(ORACLE_MAP_SEED, np.arange(ORACLE_COUNT)).T, 5)[2]
+    return _oracle("coefficient-map", list(np.broadcast_arrays(*gaps)), MAP_AGREEMENT_TOL,
+                   points=ORACLE_COUNT, seed=ORACLE_MAP_SEED)
 
 
 # ---------------------------------------------------------------------------

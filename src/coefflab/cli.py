@@ -18,10 +18,10 @@ a2 and its SchwarzParams) and search.judge's judged fields (reference,
 witness, within_reference), so a new field of one of these reaches the JSON
 with no edit here.  A report campaign row holds its SearchConfig's fields,
 best_value and evaluations_used, and the judged fields from search.judge.
-No verdict or flag rule lives here: a membership verdict is DefectReport's
-own field, and search.judge and search.chain_flags decide every flag.  csv
-and text are flattened renderings of the same payload whose columns are
-chosen in _COLUMNS: nested keys joined with '_' (reference.id is
+No verdict, flag or oracle rule lives here: a membership verdict is
+DefectReport's own field, and search.judge and search.chain_flags decide
+every flag.  csv and text are flattened renderings of the same payload whose
+columns are chosen in _COLUMNS: nested keys joined with '_' (reference.id is
 reference_id) and lists and tuples joined with ';'.  The text header's
 inputs line renders each input the same way, a dict as key=value items
 joined with ';'.  Identical inputs produce byte-identical output.
@@ -34,16 +34,9 @@ sampling grid, a non-finite defect or result, a failed numerical
 cross-check).  A refusal of the library prints one line on stderr, error:
 and the message; a refusal of argparse (an unknown option, a value of the
 wrong type) prints its usage lines first and then its own error: line.
-report's two oracles draw from class_u's streams of uniforms and each runs
-as one array pass over its ORACLE_COUNT draws.  The map oracle's points are
-class_u's sampler rows for streams (ORACLE_MAP_SEED, i), the starts a free
-campaign at that seed draws, and it keeps the largest gap of one call of
-class_u's map-vs-series comparison, which is elementwise.  The closed-form
-oracle's window i takes its 8 uniforms from stream (ORACLE_WINDOW_SEED, i);
-the windows are five planes a1..a5, on which each supported id's closed form
-is compared with the determinant of functionals' matrix layout.  An oracle
-whose largest delta is not within its tolerance (a NaN included) raises
-CrossCheckFailed, exit 3.
+report's two oracles, class_u.closed_form_oracle and class_u.map_oracle, live
+in class_u beside the streams and routes they read; report runs them first
+and renders their rows, and a breached oracle's CrossCheckFailed is exit 3.
 """
 
 from __future__ import annotations
@@ -57,8 +50,6 @@ import sys
 from functools import reduce
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bound_calculus import (
     UnknownConstant,
@@ -69,27 +60,23 @@ from .bound_calculus import (
 from .class_u import (
     CATALOG_NAMES,
     DEFAULT_SAMPLES,
-    MAP_AGREEMENT_TOL,
+    ORACLE_MAP_SEED,
+    ORACLE_WINDOW_SEED,
     CrossCheckFailed,
     EvaluationFailure,
     UnknownName,
-    _coefficient_routes,
-    _keys,
-    _sample_rows,
-    _uniforms,
     catalog,
+    closed_form_oracle,
+    map_oracle,
     membership_max_defect,
     named_evaluator,
 )
 from .functionals import (
-    SUPPORTED_CLOSED_FORM_IDS,
     CoefficientWindow,
     DeterminantId,
     UnsupportedId,
     WindowTooShort,
-    _det_entries,
     closed_form,
-    closed_form_function,
     det_value,
 )
 from .search import (
@@ -104,14 +91,6 @@ from .search import (
 
 #: Default radii for membership sampling.
 DEFAULT_RADII = (0.9, 0.99)
-
-#: Seeds for the report's oracle sweeps (documented in the README).
-ORACLE_WINDOW_SEED = 1357
-ORACLE_MAP_SEED = 2468
-ORACLE_COUNT = 1000
-
-#: The closed-form oracle's tolerance on |closed form - determinant|.
-_CLOSED_FORM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -367,46 +346,10 @@ _SHARP_ROWS = (
 )
 
 
-def _oracle_windows() -> np.ndarray:
-    """The closed-form oracle's windows as five planes a1..a5 of shape
-    (ORACLE_COUNT,): a1 = 1, and a2..a5 of window i on the disc of radius 5,
-    each drawn from stream (ORACLE_WINDOW_SEED, i) as radius then angle."""
-    u = _uniforms(_keys(ORACLE_WINDOW_SEED, np.arange(ORACLE_COUNT)), 0, 8).reshape(-1, 4, 2)
-    r, th = 5.0 * np.sqrt(u[..., 0]), 2.0 * np.pi * u[..., 1]
-    a = np.ones((5, ORACLE_COUNT), complex)
-    a.real[1:], a.imag[1:] = (r * np.cos(th)).T, (r * np.sin(th)).T
-    return a
-
-
-def _oracle(name: str, deltas: list[np.ndarray], tolerance: float) -> dict:
-    """The largest of an oracle's deltas and its tolerance; CrossCheckFailed
-    unless that delta is within it (np.max keeps a NaN, which is not)."""
-    worst = float(np.max(deltas))
-    if not worst <= tolerance:
-        raise CrossCheckFailed(
-            f"{name} oracle: max delta {_fmt(worst)} is not within its tolerance {_fmt(tolerance)}")
-    return {"max_delta": worst, "tolerance": tolerance}
-
-
-def _report_closed_form_oracle() -> dict:
-    a = _oracle_windows()
-    deltas = [abs(closed_form_function(det)(*a[1:]) - _det_entries(det._cells(a), det.q))
-              for det in SUPPORTED_CLOSED_FORM_IDS]
-    return dict(_oracle("closed-form", deltas, _CLOSED_FORM_TOL),
-                windows=ORACLE_COUNT, seed=ORACLE_WINDOW_SEED)
-
-
-def _report_map_oracle() -> dict:
-    rows = _sample_rows(ORACLE_MAP_SEED, np.arange(ORACLE_COUNT))
-    gaps = _coefficient_routes(*rows.T, 5)[2]
-    return dict(_oracle("coefficient-map", list(np.broadcast_arrays(*gaps)), MAP_AGREEMENT_TOL),
-                points=ORACLE_COUNT, seed=ORACLE_MAP_SEED)
-
-
 def cmd_report(args) -> dict:
     # the oracles first: a breached tolerance exits 3 before any campaign runs
-    oracles = {"closed_form_oracle": _report_closed_form_oracle(),
-               "coefficient_map_oracle": _report_map_oracle()}
+    oracles = {"closed_form_oracle": closed_form_oracle(),
+               "coefficient_map_oracle": map_oracle()}
     sharp = [_eval_row(name, DeterminantId.parse(det), catalog(name).window)
              for name, det in _SHARP_ROWS]
     for row in sharp:

@@ -188,6 +188,14 @@ def det_value(w: CoefficientWindow, det: DeterminantId) -> complex:
     return _det_entries(det._cells(w.a), det.q)
 
 
+def closed_form_gaps(a: np.ndarray) -> list[np.ndarray]:
+    """|closed form - det_value's matrix-layout determinant| for each id of
+    SUPPORTED_CLOSED_FORM_IDS, in order, on windows given as five planes
+    a1..a5 (a[k - 1] holds a_k of every window): the closed-form oracle's."""
+    return [abs(det._form(*a[1:]) - _det_entries(det._cells(a), det.q))
+            for det in SUPPORTED_CLOSED_FORM_IDS]
+
+
 def closed_form_function(det: DeterminantId) -> Callable[..., complex]:
     """The polynomial identity for a supported id, as callable(a2, a3, a4, a5)."""
     fn = det._form

@@ -406,30 +406,33 @@ class TestReportOracles:
         # the oracle's planes through each supported id's closed form and
         # functionals' matrix layout agree with the scalar closed_form and
         # det_value on the same windows (|T3,3| reaches 519 there, where an
-        # ulp is 1.1e-13)
-        a = cli._oracle_windows()
+        # ulp is 1.1e-13); closed_form_gaps is their difference, bit for bit
+        a = class_u._oracle_windows()
         windows = [CoefficientWindow(tuple(col)) for col in a.T.tolist()]
-        assert len(windows) == cli.ORACLE_COUNT
-        for det in SUPPORTED_CLOSED_FORM_IDS:
+        assert len(windows) == class_u.ORACLE_COUNT
+        gaps = functionals.closed_form_gaps(a)
+        assert len(gaps) == len(SUPPORTED_CLOSED_FORM_IDS)
+        for det, gap in zip(SUPPORTED_CLOSED_FORM_IDS, gaps):
             cf = closed_form_function(det)(*a[1:])
             dv = _det_entries(det._cells(a), det.q)
+            assert gap.tobytes() == abs(cf - dv).tobytes(), det
             assert np.max(np.abs(cf - [closed_form(w, det) for w in windows])) <= 1e-12, det
             assert np.max(np.abs(dv - [det_value(w, det) for w in windows])) <= 1e-12, det
 
     @staticmethod
     def plant(monkeypatch, oracle, fault):
-        # the fault reaches the oracle's deltas through the name cli calls
+        # the fault reaches the oracle's deltas through the name class_u calls
         if oracle == "closed-form":
-            real = cli._det_entries
-            monkeypatch.setattr(cli, "_det_entries", lambda e, q: fault(real(e, q)))
+            real = class_u.closed_form_gaps
+            monkeypatch.setattr(class_u, "closed_form_gaps", lambda a: [fault(g) for g in real(a)])
         else:
-            real = cli._coefficient_routes
+            real = class_u._coefficient_routes
 
             def routes(*args):
                 direct, series, gaps = real(*args)
                 return direct, series, gaps[:2] + (fault(gaps[2]),) + gaps[3:]
 
-            monkeypatch.setattr(cli, "_coefficient_routes", routes)
+            monkeypatch.setattr(class_u, "_coefficient_routes", routes)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     @pytest.mark.parametrize("fault,shown", [(_drift, "e-06 is not"), (_poison, "nan is not")],

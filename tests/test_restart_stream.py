@@ -1,14 +1,15 @@
 """The streams of uniforms (class_u._keys and _uniforms), from which campaigns,
 sample_point and both report oracles draw, against a scalar SplitMix64 in
 Python ints, and pinned to literal values, so that their bits cannot drift
-between numpy versions."""
+between numpy versions; and the points that class_u._polar turns them into,
+pinned the same way."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from coefflab.class_u import _keys, _mix, _uniforms
+from coefflab.class_u import _keys, _mix, _oracle_windows, _sample_rows, _uniforms
 
 M64 = 2**64 - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -76,6 +77,43 @@ def test_literal_values():
         [0.6368605974719739, 0.6374705666221377],
     ]
     assert _uniforms(_keys(2**64 - 1, np.array([0])), 0, 1).tolist() == [[0.58809082213156]]
+
+
+#: The first two rows of _sample_rows(42, [0, 1]) in each a2 mode.
+SAMPLE_ROWS_42 = {
+    "free": [
+        [-0.7929360769326196 - 1.426114205165254j, 0.12766252399503755 - 0.7401581247898741j,
+         0.10918129127190257 - 0.15516074164113972j, 0.061928629106077736 + 0.0840810261764714j],
+        [0.15974488016886307 - 1.581618317844291j, 0.9448750773678574 + 0.10868748593477448j,
+         -0.004791310208436312 + 0.043430013690317106j,
+         -0.009899388795040367 - 0.02338498415647466j],
+    ],
+    "zero": [
+        [0j, 0.2983798242069184 - 0.4953241834571077j, -0.23386231160210777 - 0.21877062433890565j,
+         0.0796064341768218 + 0.07933846493537668j],
+        [0j, 0.4918705516925616 - 0.39779883174295116j, -0.25992889587489226 - 0.10223544454248198j,
+         -0.020360634703872962 + 0.06546136962568752j],
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", ["free", "zero"])
+def test_sampler_rows_literal_values(mode):
+    # the uniforms above, turned into region points: a change of the polar
+    # transform, of the disc order or of a radius shows here on any numpy
+    # version, not only as a moved campaign
+    assert _sample_rows(42, np.arange(2), mode).tolist() == SAMPLE_ROWS_42[mode]
+
+
+def test_oracle_windows_literal_values():
+    # the closed-form oracle's first two windows, a2..a5 on the disc of radius 5
+    assert _oracle_windows()[:, :2].tolist() == [
+        [1 + 0j, 1 + 0j],
+        [1.4139275612974826 - 1.6483507451644093j, 3.225889027845221 + 2.323946661156884j],
+        [-3.63467949774703 + 0.24557864809436739j, 1.7252487426472902 + 1.509656957269057j],
+        [-4.745032332037578 + 0.31151851354051147j, -0.8973366588070472 + 4.05005750842464j],
+        [-4.803268635718698 + 0.9586530343922987j, -1.6941982780797393 + 1.7671005407595861j],
+    ]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

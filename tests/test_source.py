@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import coefflab
-from coefflab.cli import ORACLE_MAP_SEED, ORACLE_WINDOW_SEED
+from coefflab.class_u import ORACLE_MAP_SEED, ORACLE_WINDOW_SEED
 from coefflab.search import DOCUMENTED_SEEDS, Objective
 
 PACKAGE = Path(coefflab.__file__).resolve().parent
@@ -202,23 +202,34 @@ def test_names_bench_reads_resolve():
 
 
 def test_cli_compares_no_coefficient_routes_itself():
-    # the map oracle goes through class_u's one map-vs-series comparison
-    names = _imported_names(ast.parse((PACKAGE / "cli.py").read_text()))
+    # the map oracle is class_u.map_oracle, which goes through class_u's one
+    # map-vs-series comparison; cli.py imports nothing from series and only
+    # calls map_oracle for its row
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = _imported_names(tree)
     assert not [name for name, module in names.items() if module == "series"]
-    assert names["_coefficient_routes"] == "class_u"
+    assert "_coefficient_routes" not in names
+    assert names["map_oracle"] == "class_u"
+    assert "map_oracle" in {getattr(node.func, "id", None)
+                            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    class_u = ast.parse((PACKAGE / "class_u.py").read_text())
+    assert "map_oracle" in _calling(class_u, "_coefficient_routes")
 
 
 def test_cli_writes_no_determinant_formula():
-    # the closed-form oracle takes the closed forms and the matrix layout
-    # (DeterminantId._cells, _det_entries) from functionals, as the map
-    # oracle takes _coefficient_routes from class_u: cli.py holds no
-    # difference of products (a2 * a4 - a3 * a3, e0 * e3 - e1 * e2) and
-    # no index table of its own
+    # the closed-form oracle is class_u.closed_form_oracle, which takes its
+    # gaps from functionals.closed_form_gaps: the closed forms and the matrix
+    # layout (DeterminantId._cells, _det_entries) stay in functionals.
+    # cli.py holds no difference of products (a2 * a4 - a3 * a3,
+    # e0 * e3 - e1 * e2) and no index table of its own
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     names = _imported_names(tree)
-    assert names["closed_form_function"] == names["_det_entries"] == "functionals"
-    assert "_cells" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not {"operator", "itemgetter", "_CLOSED_FORMS"} & set(names)
+    assert names["closed_form_oracle"] == "class_u"
+    assert not {"operator", "itemgetter", "_CLOSED_FORMS", "_det_entries"} & set(names)
+    functionals = ast.parse((PACKAGE / "functionals.py").read_text())
+    assert {"det_value", "closed_form_gaps"} <= _calling(functionals, "_det_entries")
+    class_u = ast.parse((PACKAGE / "class_u.py").read_text())
+    assert "closed_form_oracle" in _calling(class_u, "closed_form_gaps")
 
     def product(node):
         return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
@@ -230,6 +241,42 @@ def test_cli_writes_no_determinant_formula():
         and product(node.left) and product(node.right)
     ]
     assert found == []
+
+
+def _private(name: str) -> bool:
+    """A single-underscore name, such as _keys; dunders such as __version__ are not."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_cli_holds_no_oracle_and_private_names_stay_home():
+    # report's oracles live in class_u (the draws and the map-vs-series
+    # gaps) and functionals (the closed-form gaps); cli only renders their
+    # rows.  So cli.py imports no numpy, nothing from operator and no
+    # single-underscore name of the package, and reads no single-underscore
+    # attribute; only functionals.py reads its matrix layout and closed-form
+    # table, and only class_u.py calls the streams and the polar turn, which
+    # both of its disc draws go through
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    tree = trees["cli.py"]
+    found = [f"cli.py imports {name} from {module}"
+             for name, module in _imported_names(tree).items()
+             if module.split(".")[0] in ("numpy", "operator") or _private(name)]
+    found += [f"cli.py:{node.lineno} reads .{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)]
+    for name, module_tree in trees.items():
+        if name != "functionals.py":
+            found += [f"{name}:{node.lineno} reads {word}" for node in ast.walk(module_tree)
+                      for word in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None))
+                      if word in ("_cells", "_det_entries", "_CLOSED_FORMS")]
+        if name != "class_u.py":
+            called = {getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                      for node in ast.walk(module_tree) if isinstance(node, ast.Call)}
+            found += [f"{name} calls {attr}" for attr in ("_keys", "_uniforms", "_polar")
+                      if attr in called]
+    assert found == []
+    assert _calling(trees["class_u.py"], "_polar") == {"_region_rows", "_oracle_windows"}
 
 
 def test_cli_holds_no_verdict_rule():
